@@ -42,7 +42,6 @@ from .state_evolution import (
     ProgressionReport,
     SeTrajectory,
     asymptotic_se,
-    mc_expectation_E,
     progression_report,
     run_se,
 )

@@ -17,11 +17,12 @@ import sys
 
 from .harness import (
     ExperimentConfig,
+    _point_se_trajectory,
     run_experiment,
     write_diagnostics_json,
     write_results_csv,
 )
-from .state_evolution import progression_report, run_se
+from .state_evolution import progression_report
 
 __all__ = ["main"]
 
@@ -98,9 +99,13 @@ def _se_csv_lines(traj):
 
 def _cmd_se(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
-    snr_db, rate_bits = cfg.sweep[0]
-    params, W = cfg.code_params(snr_db, rate_bits)
-    traj = run_se(W, params, t_max=cfg.t_max, mc_samples=cfg.mc_samples, seed=cfg.seed)
+    if len(cfg.sweep) > 1:
+        print(
+            f"scsparc se: the sweep has {len(cfg.sweep)} points; "
+            "only point 0 is emitted",
+            file=sys.stderr,
+        )
+    traj = _point_se_trajectory(cfg, *cfg.sweep[0])
     cols, rows = _se_csv_lines(traj)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

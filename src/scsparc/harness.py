@@ -83,10 +83,14 @@ class ExperimentConfig:
     mc_samples: int = 10000
 
     def __post_init__(self):
-        assert self.trials >= 1
-        assert self.se_mode in SE_MODES, self.se_mode
-        assert self.operator in OPERATORS, self.operator
-        assert self.field_kind in ("real", "complex"), self.field_kind
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.se_mode not in SE_MODES:
+            raise ValueError(f"se_mode must be one of {SE_MODES}, got {self.se_mode!r}")
+        if self.operator not in OPERATORS:
+            raise ValueError(f"operator must be one of {OPERATORS}, got {self.operator!r}")
+        if self.field_kind not in ("real", "complex"):
+            raise ValueError(f"field must be 'real' or 'complex', got {self.field_kind!r}")
         if len(self.rate_bits) > 1 and len(self.snr_db) > 1:
             raise ValueError("only one of rate_bits / snr_db may be a sweep list")
 
@@ -193,7 +197,8 @@ def run_trial(
     y = transmit(x, ch, _trial_seed(cfg.seed, point, trial, _ROLE_NOISE))
 
     if cfg.se_mode == "offline":
-        assert se_traj is not None
+        if se_traj is None:
+            raise ValueError("se_mode 'offline' needs a precomputed se_traj")
         se = OfflineSeSource(se_traj, W, params)
     else:
         sigma2_known = params.sigma2 if cfg.se_mode == "online_known_sigma" else None
@@ -232,9 +237,8 @@ class ResultRecord:
     se_traj: SeTrajectory | None = field(default=None, repr=False)
 
 
-def _point_se_trajectory(cfg, snr_db, rate_bits) -> SeTrajectory | None:
-    if cfg.se_mode != "offline":
-        return None
+def _point_se_trajectory(cfg, snr_db, rate_bits) -> SeTrajectory:
+    """The SE trajectory that offline decoding uses at one sweep point."""
     params, W = cfg.code_params(snr_db, rate_bits)
     seed = _trial_seed(cfg.seed, 0, 0, _ROLE_SE)
     return run_se(W, params, t_max=cfg.t_max, mc_samples=cfg.mc_samples, seed=seed)
@@ -249,7 +253,11 @@ def run_experiment(cfg: ExperimentConfig, keep_progression: bool = False) -> lis
     workers = int(os.environ.get(WORKERS_ENV, "1"))
     records = []
     for point, (snr_db, rate_bits) in enumerate(cfg.sweep):
-        se_traj = _point_se_trajectory(cfg, snr_db, rate_bits)
+        se_traj = (
+            _point_se_trajectory(cfg, snr_db, rate_bits)
+            if cfg.se_mode == "offline"
+            else None
+        )
         args = [
             (cfg, point, t, snr_db, rate_bits, se_traj, keep_progression)
             for t in range(cfg.trials)

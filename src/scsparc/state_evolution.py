@@ -16,13 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .params import BaseMatrix, CouplingParams, SparcParams
 
 __all__ = [
     "SectionExpectation",
-    "mc_expectation_E",
     "se_step",
     "run_se",
     "SeTrajectory",
@@ -33,6 +31,8 @@ __all__ = [
 ]
 
 DEFAULT_MC_SAMPLES = 10_000
+# sample rows per block of a SectionExpectation call
+_ROW_BLOCK = 256
 
 
 class SectionExpectation:
@@ -50,6 +50,14 @@ class SectionExpectation:
     by orders of magnitude, which matters because errors in the expectation
     compound across state-evolution iterations and shift the predicted
     decoding wave.
+
+    The sample is stored centred: each row's maximum umax is kept apart
+    and subtracted from the row, so b * (U_j - umax) <= 0 for b > 0 and
+    the log interference sum b * umax + log sum_j exp(b * (U_j - umax))
+    never overflows (the sum is at least 1). Each call walks the sample in
+    fixed blocks of _ROW_BLOCK rows through buffers allocated once, so a
+    call allocates nothing sample-sized. The buffers make an instance
+    unsafe to call from two threads at once.
     """
 
     GH_NODES = 64
@@ -62,54 +70,45 @@ class SectionExpectation:
         self.M = M
         self.n_samples = n_samples
         rng = np.random.default_rng(seed)
-        self._U = rng.standard_normal((n_samples, M - 1))
+        U = rng.standard_normal((n_samples, M - 1))
+        self._umax = U.max(axis=1)
+        U -= self._umax[:, np.newaxis]
+        self._Uc = U
         nodes, wts = np.polynomial.hermite.hermgauss(self.GH_NODES)
         self._gh_x = math.sqrt(2.0) * nodes
         self._gh_w = wts / math.sqrt(math.pi)
+        rows = min(_ROW_BLOCK, n_samples)
+        self._exp_buf = np.empty((rows, M - 1))
+        self._gh_buf = np.empty((rows, self.GH_NODES))
+        self._log_s = np.empty(rows)
+        self._vals = np.empty(n_samples)
 
     def __call__(self, tau: float) -> float:
-        if tau <= 0:
+        if not tau > 0:
             raise ValueError(f"tau must be positive, got {tau}")
         b = 1.0 / math.sqrt(tau)
-        # log of the interference sum, per Monte Carlo sample
-        log_s = logsumexp(self._U * b, axis=1)
-        # E = mean over samples and quadrature nodes of
-        # sigmoid(1/tau + u*b - log_s), the posterior mass on the true entry
-        arg = (1.0 / tau) + self._gh_x[np.newaxis, :] * b - log_s[:, np.newaxis]
-        vals = _sigmoid(arg) @ self._gh_w
-        return float(vals.mean())
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def mc_expectation_E(
-    tau: float, M: int, n_samples: int = DEFAULT_MC_SAMPLES, seed=0
-) -> float:
-    """Plain Monte Carlo estimate of the section expectation at tau.
-
-    Draws n_samples sections of M standard normals and averages the
-    posterior mass on the true entry, evaluated via logsumexp. Common
-    random numbers across tau values: the sample depends only on the seed.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    U = rng.standard_normal((n_samples, M))
-    x = U / math.sqrt(tau)
-    x[:, 0] += 1.0 / tau
-    vals = np.exp(x[:, 0] - logsumexp(x, axis=1))
-    return float(vals.mean())
+        # E = mean over samples and quadrature nodes of sigmoid(arg), with
+        # arg = 1/tau + x_k*b - log_s the log-odds of the true entry
+        node_shift = (1.0 / tau) + self._gh_x * b
+        with np.errstate(over="ignore"):
+            for lo in range(0, self.n_samples, _ROW_BLOCK):
+                hi = min(lo + _ROW_BLOCK, self.n_samples)
+                e = self._exp_buf[: hi - lo]
+                log_s = self._log_s[: hi - lo]
+                z = self._gh_buf[: hi - lo]
+                # log of the interference sum, per Monte Carlo sample
+                np.multiply(self._Uc[lo:hi], b, out=e)
+                np.exp(e, out=e)
+                np.sum(e, axis=1, out=log_s)
+                np.log(log_s, out=log_s)
+                log_s += b * self._umax[lo:hi]
+                # sigmoid(arg) = 1/(1 + exp(-arg)); exp overflow gives 0
+                np.subtract(log_s[:, np.newaxis], node_shift, out=z)
+                np.exp(z, out=z)
+                z += 1.0
+                np.reciprocal(z, out=z)
+                np.matmul(z, self._gh_w, out=self._vals[lo:hi])
+        return float(self._vals.mean())
 
 
 def se_step(
@@ -151,9 +150,6 @@ class SeTrajectory:
 
     psi has shape (T+1, C) with psi[0] = 1; phi, sigma, tau, nu have shape
     (T, ...) where row t holds the values used to produce psi[t+1].
-    sigma_perp and tau_perp are the increment-variance diagnostics
-    sigma_r^t (1 - sigma_r^t/sigma_r^{t-1}) and the tau analogue, with the
-    t=0 rows equal to sigma^0 and tau^0.
     """
 
     psi: np.ndarray
@@ -161,8 +157,6 @@ class SeTrajectory:
     sigma: np.ndarray
     tau: np.ndarray
     nu: np.ndarray
-    sigma_perp: np.ndarray
-    tau_perp: np.ndarray
     threshold: float
     reached_threshold: bool
 
@@ -209,20 +203,12 @@ def run_se(
     tau = np.array(tau_hist).reshape(t, W.cols)
     nu = 1.0 / (tau * math.log(params.M)) if t else tau.copy()
 
-    sigma_perp = sigma.copy()
-    tau_perp = tau.copy()
-    if t > 1:
-        sigma_perp[1:] = sigma[1:] * (1.0 - sigma[1:] / sigma[:-1])
-        tau_perp[1:] = tau[1:] * (1.0 - tau[1:] / tau[:-1])
-
     return SeTrajectory(
         psi=psi,
         phi=phi,
         sigma=sigma,
         tau=tau,
         nu=nu,
-        sigma_perp=sigma_perp,
-        tau_perp=tau_perp,
         threshold=threshold,
         reached_threshold=reached,
     )

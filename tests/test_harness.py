@@ -58,6 +58,21 @@ def test_config_rejects_double_sweep():
         ExperimentConfig.from_mapping(raw)
 
 
+@pytest.mark.parametrize(
+    "over",
+    [dict(trials=0), dict(se_mode="bogus"), dict(operator="bogus"), dict(field_kind="bogus")],
+)
+def test_config_validation_raises_value_error(over):
+    with pytest.raises(ValueError):
+        small_config(**over)
+
+
+def test_offline_trial_without_se_traj_raises():
+    cfg = small_config(se_mode="offline")
+    with pytest.raises(ValueError):
+        run_trial(cfg, 0, 0, 11.76, 1.0)
+
+
 def test_run_trial_determinism():
     cfg = small_config()
     a = run_trial(cfg, 0, 0, 11.76, 1.0)
@@ -128,6 +143,23 @@ def test_cli_simulate_and_se(tmp_path):
 
     rc = cli_main(["progression", "--config", str(cfg_path)])
     assert rc == 0
+
+
+def test_cli_se_emits_the_offline_decoding_trajectory(tmp_path, capsys):
+    raw = dict(SMALL, sim=dict(SMALL["sim"], se_mode="offline", mc_samples=500))
+    raw["channel"] = dict(snr_db=[11.76, 14.0])
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    out_dir = tmp_path / "se"
+    assert cli_main(["se", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    assert "only point 0 is emitted" in capsys.readouterr().err
+
+    traj = run_experiment(ExperimentConfig.from_mapping(raw))[0].se_traj
+    lines = (out_dir / "se_columns.csv").read_text().splitlines()[1:]
+    assert len(lines) == traj.psi[1:].size
+    for line in lines:
+        t, c, psi = line.split(",")[:3]
+        assert psi == f"{traj.psi[int(t) + 1, int(c)]:.10g}"
 
 
 def test_cli_rerun_byte_identical(tmp_path):

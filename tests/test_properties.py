@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scsparc.amp import eta_denoise
 from scsparc.message import hard_decision, nmse, random_message
 from scsparc.params import CouplingParams, build_base_matrix
+from scsparc.state_evolution import SectionExpectation
+from se_oracles import LogsumexpSectionExpectation
 
 coupling_st = st.tuples(
     st.integers(1, 6), st.integers(1, 40), st.floats(0.0, 0.9)
@@ -48,3 +50,16 @@ def test_eta_denoise_is_simplex_valued(M, L, tau, seed):
     assert np.allclose(sections.sum(axis=1), 1.0)
     # denoiser favors the largest observation in each section
     assert np.array_equal(sections.argmax(axis=1), s.reshape(L, M).argmax(axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 200),
+    st.integers(1, 600),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-5, 50.0),
+)
+def test_section_expectation_in_unit_interval_and_matches_oracle(M, n, seed, tau):
+    val = SectionExpectation(M, n, seed)(tau)
+    assert 0.0 <= val <= 1.0
+    assert abs(val - LogsumexpSectionExpectation(M, n, seed)(tau)) <= 1e-12

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from scsparc import state_evolution
+from scsparc.harness import ExperimentConfig
 from scsparc.params import LN2, CouplingParams, build_base_matrix, derive_code_params
 from scsparc.state_evolution import (
     SectionExpectation,
     asymptotic_se,
     psi_step_bounds,
-    mc_expectation_E,
     progression_report,
     run_se,
     se_step,
 )
+from se_oracles import LogsumexpSectionExpectation, mc_expectation_E
 
 
 def quad_expectation_M2(tau):
@@ -193,4 +195,43 @@ def test_expectation_validation():
     with pytest.raises(ValueError):
         SectionExpectation(4)(0.0)
     with pytest.raises(ValueError):
+        SectionExpectation(4, 100)(float("nan"))
+    with pytest.raises(ValueError):
         mc_expectation_E(-1.0, 4)
+
+
+@pytest.mark.parametrize("M", [2, 16, 128, 512])
+def test_expectation_matches_logsumexp_oracle(M):
+    # the offline_sweep sample size: full row blocks and a partial one
+    n = 1000
+    fast = SectionExpectation(M, n, seed=11)
+    oracle = LogsumexpSectionExpectation(M, n, seed=11)
+    for tau in np.geomspace(1e-5, 50, 60):
+        assert abs(fast(tau) - oracle(tau)) <= 1e-12, tau
+
+
+def test_expectation_buffers_do_not_leak_between_calls():
+    exp = SectionExpectation(32, 700, seed=5)
+    first = exp(0.3)
+    exp(4.0)
+    assert exp(0.3) == first
+
+
+def test_run_se_matches_logsumexp_oracle(monkeypatch):
+    # the offline_sweep benchmark code: M=128, L=1024, 1.5 bits, complex DFT
+    cfg = ExperimentConfig(
+        M=128, L=1024, omega=6, Lambda=32, rho=0.0, rate_bits=(1.5,),
+        snr_db=(10.0 * math.log10(15.0),), field_kind="complex",
+        se_mode="offline", operator="dft", t_max=40, mc_samples=1000,
+    )
+    params, W = cfg.code_params(*cfg.sweep[0])
+    fast = run_se(W, params, t_max=40, mc_samples=1000, seed=3)
+    monkeypatch.setattr(
+        state_evolution, "SectionExpectation", LogsumexpSectionExpectation
+    )
+    oracle = run_se(W, params, t_max=40, mc_samples=1000, seed=3)
+    assert fast.iterations == oracle.iterations > 10
+    for name in ("psi", "phi", "tau"):
+        np.testing.assert_allclose(
+            getattr(fast, name), getattr(oracle, name), rtol=0, atol=1e-12
+        )

@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 PHI_CLAMP_FACTOR = 1e-12
+# decode stops as diverged once some phi exceeds this multiple of
+# sigma2 + max_r mean_c W[r, c]
+DIVERGENCE_FACTOR = 10.0
 
 
 @dataclass
@@ -48,7 +51,6 @@ class AmpConfig:
     t_max: int = 200
     stop_tol: float = 1e-4
     stop_window: int = 2
-    divergence_factor: float = 10.0
 
 
 @dataclass
@@ -266,7 +268,7 @@ def decode(
     W = op.W
     state = DecoderState.initial(op)
     nmse_rows = []
-    phi_ceiling = cfg.divergence_factor * (
+    phi_ceiling = DIVERGENCE_FACTOR * (
         params.sigma2 + W.entries.mean(axis=1).max()
     )
     stop_reason = "t_max"

@@ -45,10 +45,12 @@ class MixturePrior:
     variances: tuple
 
     def __post_init__(self):
-        assert len(self.weights) == len(self.means) == len(self.variances)
-        assert math.isclose(sum(self.weights), 1.0, rel_tol=1e-12)
-        assert all(w >= 0 for w in self.weights)
-        assert all(v >= 0 for v in self.variances)
+        if not len(self.weights) == len(self.means) == len(self.variances):
+            raise ValueError("weights, means and variances must have equal lengths")
+        if not math.isclose(sum(self.weights), 1.0, rel_tol=1e-12):
+            raise ValueError("mixture weights must sum to one")
+        if not all(x >= 0 for x in (*self.weights, *self.variances)):
+            raise ValueError("mixture weights and variances must be nonnegative")
 
     @property
     def second_moment(self) -> float:
@@ -136,7 +138,8 @@ class CsModel:
 
     def __post_init__(self):
         W = np.ascontiguousarray(np.asarray(self.W, dtype=float))
-        assert W.ndim == 2 and np.all(W >= 0)
+        if W.ndim != 2 or not np.all(W >= 0):
+            raise ValueError("W must be a nonnegative 2-dimensional array")
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
         if self.p % self.cols != 0:
@@ -177,12 +180,15 @@ def build_cs_base_matrix(coupling: CouplingParams) -> np.ndarray:
 def cs_design_matrix(model: CsModel, seed) -> np.ndarray:
     """Dense measurement matrix with independent N(0, W_rc/(n/rows))
     entries in block (r, c). Columns have unit expected norm when the base
-    matrix columns sum to one."""
+    matrix columns sum to one. Blocks are scaled in place, so no second
+    matrix-sized array is built."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((model.n, model.p))
     mr, mc = model.rows_per_block, model.cols_per_block
     scale = np.sqrt(model.W / mr)
-    A *= np.repeat(np.repeat(scale, mr, axis=0), mc, axis=1)
+    for r in range(model.rows):
+        for c in range(model.cols):
+            A[r * mr : (r + 1) * mr, c * mc : (c + 1) * mc] *= scale[r, c]
     return A
 
 
@@ -190,7 +196,8 @@ def cs_mse_expectation(denoiser, prior: MixturePrior, tau: float) -> float:
     """E[(f(beta + sqrt(tau) G) - beta)^2] for beta ~ prior, G ~ N(0,1),
     by tensor-product Gauss-Hermite quadrature (exact atoms handled in 1D).
     """
-    assert tau > 0
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     nodes, wts = np.polynomial.hermite.hermgauss(GH_NODES)
     g = math.sqrt(2.0) * nodes
     wn = wts / math.sqrt(math.pi)

@@ -1,7 +1,8 @@
 """Block-structured design operators.
 
 The design matrix has row_blocks x col_blocks blocks; block (r, c) carries
-variance W[r, c]/L per entry. Two kinds are provided:
+variance W[r, c]/L per entry. Both kinds store only the blocks where
+W[r, c] != 0, in a dict keyed by (r, c) in row-major order:
 
  * dense_gaussian: explicit i.i.d. Gaussian blocks, real or complex field.
  * dft_fast: each nonzero block is a row-subsampled unitary DFT with a
@@ -27,7 +28,8 @@ __all__ = [
     "build_dft_design",
 ]
 
-DEFAULT_MEMORY_CAP = 2 * 1024**3  # bytes
+# bytes: caps the stored dense blocks and any materialized matrix
+MEMORY_CAP = 2 * 1024**3
 
 
 def _check_scaling(S: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -39,8 +41,17 @@ def _check_scaling(S: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return S
 
 
+def _check_bytes(nbytes: int, what: str) -> None:
+    if nbytes > MEMORY_CAP:
+        raise MemoryError(f"{what} needs {nbytes} bytes, above the cap {MEMORY_CAP}")
+
+
 class DesignOperator:
-    """Common interface: forward product, scaled adjoint, materialize."""
+    """Common interface: forward product, scaled adjoint, materialize.
+
+    Subclasses fill `_blocks` with one entry per nonzero block of W and
+    give its dense form through `_dense_block`.
+    """
 
     kind: str
     field: str
@@ -55,12 +66,16 @@ class DesignOperator:
         self.params = params
         self.W = W
         self.field = field
+        self.dtype = np.dtype(float if field == "real" else complex)
         self.n_rows = params.n if field == "real" else params.n // 2
         self.n_cols = params.M * params.L
         if self.n_rows % W.rows != 0:
             raise ValueError("row blocks must divide the operator row count")
         self.rows_per_block = self.n_rows // W.rows
         self.cols_per_block = self.n_cols // W.cols
+        # (r, c) of every nonzero block, row-major
+        self._nonzero = [tuple(rc) for rc in np.argwhere(W.entries != 0.0).tolist()]
+        self._blocks: dict = {}
 
     def apply(self, beta: np.ndarray) -> np.ndarray:
         """Forward product A @ beta."""
@@ -73,9 +88,17 @@ class DesignOperator:
         """
         raise NotImplementedError
 
-    def materialize(self, memory_cap: int = DEFAULT_MEMORY_CAP) -> np.ndarray:
-        """Dense matrix representation (test oracle; size-capped)."""
+    def _dense_block(self, r: int, c: int, block) -> np.ndarray:
         raise NotImplementedError
+
+    def materialize(self) -> np.ndarray:
+        """Dense matrix representation (test oracle; size-capped)."""
+        _check_bytes(self.n_rows * self.n_cols * self.dtype.itemsize, "materializing")
+        nr, nc = self.rows_per_block, self.cols_per_block
+        A = np.zeros((self.n_rows, self.n_cols), dtype=self.dtype)
+        for (r, c), block in self._blocks.items():
+            A[r * nr : (r + 1) * nr, c * nc : (c + 1) * nc] = self._dense_block(r, c, block)
+        return A
 
     def _check_apply_input(self, beta: np.ndarray) -> None:
         if beta.size != self.n_cols:
@@ -87,62 +110,44 @@ class DesignOperator:
 
 
 class DenseGaussianDesign(DesignOperator):
+    """Explicit i.i.d. Gaussian blocks, drawn in row-major block order."""
+
     kind = "dense_gaussian"
 
-    def __init__(
-        self,
-        params: SparcParams,
-        W: BaseMatrix,
-        seed,
-        field: str = "real",
-        memory_cap: int = DEFAULT_MEMORY_CAP,
-    ):
+    def __init__(self, params: SparcParams, W: BaseMatrix, seed, field: str = "real"):
         super().__init__(params, W, field)
-        itemsize = 8 if field == "real" else 16
-        nbytes = self.n_rows * self.n_cols * itemsize
-        if nbytes > memory_cap:
-            raise MemoryError(
-                f"dense design needs {nbytes} bytes, above the cap {memory_cap}"
-            )
-        rng = np.random.default_rng(seed)
-        L = params.L
         nr, nc = self.rows_per_block, self.cols_per_block
-        dtype = float if field == "real" else complex
-        A = np.zeros((self.n_rows, self.n_cols), dtype=dtype)
-        for r in range(W.rows):
-            for c in range(W.cols):
-                var = W.entries[r, c] / L
-                if var == 0.0:
-                    continue
-                if field == "real":
-                    blk = np.sqrt(var) * rng.standard_normal((nr, nc))
-                else:
-                    blk = np.sqrt(var / 2.0) * (
-                        rng.standard_normal((nr, nc))
-                        + 1j * rng.standard_normal((nr, nc))
-                    )
-                A[r * nr : (r + 1) * nr, c * nc : (c + 1) * nc] = blk
-        self._A = A
+        _check_bytes(len(self._nonzero) * nr * nc * self.dtype.itemsize, "dense design")
+        rng = np.random.default_rng(seed)
+        for r, c in self._nonzero:
+            var = W.entries[r, c] / params.L
+            if field == "real":
+                blk = np.sqrt(var) * rng.standard_normal((nr, nc))
+            else:
+                blk = np.sqrt(var / 2.0) * (
+                    rng.standard_normal((nr, nc)) + 1j * rng.standard_normal((nr, nc))
+                )
+            self._blocks[(r, c)] = blk
+
+    def _dense_block(self, r, c, block):
+        return block
 
     def apply(self, beta):
         self._check_apply_input(beta)
-        return self._A @ beta
+        nr, nc = self.rows_per_block, self.cols_per_block
+        out = np.zeros(self.n_rows, dtype=np.result_type(self.dtype, beta))
+        for (r, c), blk in self._blocks.items():
+            out[r * nr : (r + 1) * nr] += blk @ beta[c * nc : (c + 1) * nc]
+        return out
 
     def apply_scaled_adjoint(self, S, z):
         self._check_adjoint_input(z)
         S = _check_scaling(S, (self.W.rows, self.W.cols))
         nr, nc = self.rows_per_block, self.cols_per_block
-        out = np.zeros(self.n_cols, dtype=self._A.dtype)
-        for c in range(self.W.cols):
-            acc = np.zeros(nc, dtype=self._A.dtype)
-            for r in range(self.W.rows):
-                blk = self._A[r * nr : (r + 1) * nr, c * nc : (c + 1) * nc]
-                acc += S[r, c] * (blk.conj().T @ z[r * nr : (r + 1) * nr])
-            out[c * nc : (c + 1) * nc] = acc
+        out = np.zeros(self.n_cols, dtype=self.dtype)
+        for (r, c), blk in self._blocks.items():
+            out[c * nc : (c + 1) * nc] += S[r, c] * (blk.conj().T @ z[r * nr : (r + 1) * nr])
         return out
-
-    def materialize(self, memory_cap: int = DEFAULT_MEMORY_CAP):
-        return self._A.copy()
 
 
 class DftDesign(DesignOperator):
@@ -163,25 +168,25 @@ class DftDesign(DesignOperator):
         if self.rows_per_block > N:
             raise ValueError("rows per block must not exceed cols per block")
         # Independent row subset, column permutation and phases per nonzero
-        # block, spawned in a fixed block order for determinism.
+        # block, from one child seed per block of W (zero blocks included).
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        self._blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        children = iter(root.spawn(W.rows * W.cols))
-        for r in range(W.rows):
-            for c in range(W.cols):
-                child = next(children)
-                if W.entries[r, c] == 0.0:
-                    continue
-                rng = np.random.default_rng(child)
-                rows = rng.choice(N, size=self.rows_per_block, replace=False)
-                perm = rng.permutation(N)
-                phases = np.exp(2j * np.pi * rng.random(N))
-                self._blocks[(r, c)] = (rows, perm, phases)
+        children = root.spawn(W.rows * W.cols)
+        for r, c in self._nonzero:
+            rng = np.random.default_rng(children[r * W.cols + c])
+            rows = rng.choice(N, size=self.rows_per_block, replace=False)
+            perm = rng.permutation(N)
+            phases = np.exp(2j * np.pi * rng.random(N))
+            self._blocks[(r, c)] = (rows, perm, phases)
 
     def _scale(self, r: int, c: int) -> float:
         # sqrt(W/L) * sqrt(N) absorbed: fft is the unnormalized DFT,
         # i.e. sqrt(N) * unitary DFT, so only sqrt(W/L) is applied here.
         return np.sqrt(self.W.entries[r, c] / self.params.L)
+
+    def _dense_block(self, r, c, block):
+        rows, perm, phases = block
+        F = np.exp(-2j * np.pi * np.outer(rows, perm).astype(float) / self.cols_per_block)
+        return self._scale(r, c) * F * phases[np.newaxis, :]
 
     def apply(self, beta):
         self._check_apply_input(beta)
@@ -209,30 +214,11 @@ class DftDesign(DesignOperator):
             )
         return out
 
-    def materialize(self, memory_cap: int = DEFAULT_MEMORY_CAP):
-        nbytes = self.n_rows * self.n_cols * 16
-        if nbytes > memory_cap:
-            raise MemoryError(
-                f"materializing needs {nbytes} bytes, above the cap {memory_cap}"
-            )
-        nr, nc = self.rows_per_block, self.cols_per_block
-        A = np.zeros((self.n_rows, self.n_cols), dtype=complex)
-        for (r, c), (rows, perm, phases) in self._blocks.items():
-            F = np.exp(-2j * np.pi * np.outer(rows, perm).astype(float) / nc)
-            A[r * nr : (r + 1) * nr, c * nc : (c + 1) * nc] = (
-                self._scale(r, c) * F * phases[np.newaxis, :]
-            )
-        return A
-
 
 def build_gaussian_design(
-    params: SparcParams,
-    W: BaseMatrix,
-    seed,
-    field: str = "real",
-    memory_cap: int = DEFAULT_MEMORY_CAP,
+    params: SparcParams, W: BaseMatrix, seed, field: str = "real"
 ) -> DenseGaussianDesign:
-    return DenseGaussianDesign(params, W, seed, field=field, memory_cap=memory_cap)
+    return DenseGaussianDesign(params, W, seed, field=field)
 
 
 def build_dft_design(params: SparcParams, W: BaseMatrix, seed) -> DftDesign:

@@ -9,7 +9,6 @@ from the root seed, so reruns produce byte-identical CSV output.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -345,12 +344,6 @@ def write_results_csv(records: list, out) -> None:
     finally:
         if close:
             out.close()
-
-
-def results_csv_bytes(records: list) -> bytes:
-    buf = io.StringIO()
-    write_results_csv(records, buf)
-    return buf.getvalue().encode()
 
 
 def write_diagnostics_json(cfg: ExperimentConfig, records: list, path: str) -> None:

@@ -33,16 +33,18 @@ def random_message(M: int, L: int, seed) -> np.ndarray:
 
 
 def check_message_vector(beta: np.ndarray, M: int) -> None:
-    """Assert the one-nonzero-per-section structure with unit values."""
-    assert beta.size % M == 0
+    """Raise ValueError unless beta has one unit entry per section."""
+    if beta.size % M != 0:
+        raise ValueError("vector length must be a multiple of M")
     sections = beta.reshape(-1, M)
-    assert np.all((sections == 0) | (sections == 1))
-    assert np.all(sections.sum(axis=1) == 1)
+    if not (np.all((sections == 0) | (sections == 1)) and np.all(sections.sum(axis=1) == 1)):
+        raise ValueError("every section must hold exactly one unit entry")
 
 
 def hard_decision(est: np.ndarray, M: int) -> np.ndarray:
     """Per-section argmax decision (ties go to the lowest index)."""
-    assert est.size % M == 0
+    if est.size % M != 0:
+        raise ValueError("vector length must be a multiple of M")
     sections = est.reshape(-1, M)
     idx = sections.argmax(axis=1)  # np.argmax returns the first maximum
     out = np.zeros_like(sections, dtype=float)

@@ -20,7 +20,6 @@ __all__ = [
     "SparcParams",
     "build_base_matrix",
     "derive_code_params",
-    "base_matrix_average_range",
     "channel_capacity",
     "is_power_of_2",
 ]
@@ -170,14 +169,6 @@ class SparcParams:
         return self.base.cols
 
     @property
-    def n_per_row_block(self) -> int:
-        return self.n // self.base.rows
-
-    @property
-    def cols_per_col_block(self) -> int:
-        return self.M * self.L // self.base.cols
-
-    @property
     def sections_per_block(self) -> int:
         return self.L // self.base.cols
 
@@ -221,18 +212,6 @@ def derive_code_params(
         raise ValueError("target rate too large: rounded code length is zero")
     base = build_base_matrix(coupling, P)
     return SparcParams(n=n, M=M, L=L, base=base, P=P, sigma2=sigma2)
-
-
-def base_matrix_average_range(W: BaseMatrix) -> tuple[float, float]:
-    """Min and max over the row averages and column averages of W.
-
-    Returns (kappa_lower, kappa_upper). A strictly positive kappa_lower is
-    what the state-evolution bounds require; the caller checks it.
-    """
-    row_avg = W.entries.mean(axis=1)
-    col_avg = W.entries.mean(axis=0)
-    both = np.concatenate([row_avg, col_avg])
-    return float(both.min()), float(both.max())
 
 
 def channel_capacity(snr: float) -> float:

@@ -27,12 +27,14 @@ __all__ = [
     "asymptotic_se",
     "ProgressionReport",
     "progression_report",
-    "psi_step_bounds",
 ]
 
 DEFAULT_MC_SAMPLES = 10_000
 # sample rows per block of a SectionExpectation call
 _ROW_BLOCK = 256
+# exponent k of the progression report's NMSE floor M^(-k delta^2); theory
+# does not pin it down
+NMSE_FLOOR_K = 1.0
 
 
 class SectionExpectation:
@@ -263,13 +265,10 @@ class ProgressionReport:
 
 
 def progression_report(
-    R: float, snr: float, omega: int, Lambda: int, M: int, k: float = 1.0
+    R: float, snr: float, omega: int, Lambda: int, M: int
 ) -> ProgressionReport:
-    """Evaluate the decoding-progression formulas (rate R in nats).
-
-    The constant k in the NMSE floor is not pinned down by theory; it is a
-    configuration knob with default 1.
-    """
+    """Evaluate the decoding-progression formulas (rate R in nats), with
+    NMSE_FLOOR_K as the floor's exponent constant."""
     if snr <= 0:
         raise ValueError("snr must be positive")
     coupling = CouplingParams(omega=omega, Lambda=Lambda)
@@ -281,7 +280,7 @@ def progression_report(
     feasible = Delta > 0 and omega > omega_min
     T_bound = math.ceil(Lambda / (2.0 * g)) if g > 0 else None
     delta_star = min(Delta / (3.0 * R), 1.0 / 3.0) if Delta > 0 else 1.0 / 3.0
-    f_M_delta = M ** (-k * delta_star**2) / (delta_star * math.sqrt(math.log(M)))
+    f_M_delta = M ** (-NMSE_FLOOR_K * delta_star**2) / (delta_star * math.sqrt(math.log(M)))
     return ProgressionReport(
         vartheta=vartheta,
         Delta=Delta,
@@ -293,32 +292,3 @@ def progression_report(
         f_M_delta=f_M_delta,
         feasible=feasible,
     )
-
-
-def psi_step_bounds(
-    nu: float,
-    M: int,
-    delta: float,
-    delta_tilde: float,
-    k: float = 1.0,
-    k1: float = 1.0,
-) -> tuple[float, float]:
-    """Diagnostic bounds on the next psi given nu = 1/(tau ln M).
-
-    lower = (1 - M^{-k1 dt^2}) * 1{nu < 2 - dt}
-    upper = 1 - (1 - M^{-k d^2}/(d sqrt(ln M))) * 1{nu > 2 + d}
-
-    The constants k, k1 are configuration, not theory-pinned values. Both
-    bounds are vacuous (0, 1) when nu falls between the two thresholds.
-    """
-    if not 0.0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 1/2)")
-    if not 0.0 < delta_tilde < 1.0:
-        raise ValueError("delta_tilde must lie in (0, 1)")
-    lower = (1.0 - M ** (-k1 * delta_tilde**2)) if nu < 2.0 - delta_tilde else 0.0
-    if nu > 2.0 + delta:
-        floor = M ** (-k * delta**2) / (delta * math.sqrt(math.log(M)))
-        upper = 1.0 - (1.0 - floor)
-    else:
-        upper = 1.0
-    return lower, upper

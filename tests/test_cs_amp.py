@@ -8,6 +8,7 @@ import pytest
 from scsparc.cs_amp import (
     BgBayesDenoiser,
     CsModel,
+    MixturePrior,
     SoftThresholdDenoiser,
     bernoulli_gauss_prior,
     build_cs_base_matrix,
@@ -31,6 +32,23 @@ def test_prior_moments_and_sampling():
         bernoulli_gauss_prior(0.0, 1.0)
     with pytest.raises(ValueError):
         bernoulli_gauss_prior(0.5, -1.0)
+    # unequal lengths, weights not summing to one, negative weight/variance
+    for args in [((0.5, 0.5), (0.0,), (1.0, 1.0)), ((0.5, 0.4), (0.0, 0.0), (1.0, 1.0)),
+                 ((1.5, -0.5), (0.0, 0.0), (1.0, 1.0)), ((1.0,), (0.0,), (-1.0,))]:
+        with pytest.raises(ValueError):
+            MixturePrior(*args)
+
+
+def test_cs_model_and_tau_validation():
+    prior = bernoulli_gauss_prior(0.1, 1.0)
+    with pytest.raises(ValueError):
+        CsModel(W=-np.ones((2, 2)), p=4, n=4, sigma2=0.1, prior=prior)
+    with pytest.raises(ValueError):
+        CsModel(W=np.ones(2), p=4, n=4, sigma2=0.1, prior=prior)
+    den = BgBayesDenoiser(0.1, 1.0)
+    for tau in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            cs_mse_expectation(den, prior, tau)
 
 
 def test_bg_denoiser_symmetry_and_wiener():
@@ -88,6 +106,17 @@ def test_cs_design_column_norms():
     blk = A[:mr, :mc]
     expected = Wcs[0, 0] / mr
     assert abs(blk.var() - expected) / expected < 0.1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cs_design_matrix_matches_repeat_formula(seed):
+    # oracle: scale the whole draw by the block scales repeated to full size
+    W = build_cs_base_matrix(CouplingParams(3, 8, 0.1))
+    model = CsModel(W=W, p=400, n=200, sigma2=0.01, prior=bernoulli_gauss_prior(0.1, 1.0))
+    mr, mc = model.rows_per_block, model.cols_per_block
+    ref = np.random.default_rng(seed).standard_normal((model.n, model.p))
+    ref *= np.repeat(np.repeat(np.sqrt(model.W / mr), mr, axis=0), mc, axis=1)
+    assert np.array_equal(cs_design_matrix(model, seed), ref)
 
 
 def test_mse_expectation_gaussian_closed_form():

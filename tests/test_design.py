@@ -1,8 +1,11 @@
 """Design operators: dense Gaussian and randomized-DFT, against dense oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from scsparc import design
 from scsparc.design import build_dft_design, build_gaussian_design
 from scsparc.message import random_message
 from scsparc.params import CouplingParams, SparcParams, build_base_matrix
@@ -23,6 +26,32 @@ def test_dense_block_structure():
             blk = A[r * nr : (r + 1) * nr, c * nc : (c + 1) * nc]
             if W.entries[r, c] == 0.0:
                 assert np.all(blk == 0.0)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("rho", [0.0, 0.25])
+def test_dense_draw_order(field, rho):
+    # oracle: one generator draws the nonzero blocks in row-major order
+    # omega=3: row-major and column-major block orders differ even at rho=0
+    base = build_base_matrix(CouplingParams(3, 5, rho), 1.0)
+    params = SparcParams(n=56, M=4, L=10, base=base, P=1.0, sigma2=0.1)
+    op = build_gaussian_design(params, base, seed=11, field=field)
+    rng = np.random.default_rng(11)
+    nr, nc = op.rows_per_block, op.cols_per_block
+    ref = np.zeros((op.n_rows, op.n_cols), dtype=float if field == "real" else complex)
+    for r in range(base.rows):
+        for c in range(base.cols):
+            var = base.entries[r, c] / params.L
+            if var == 0.0:
+                continue
+            if field == "real":
+                blk = np.sqrt(var) * rng.standard_normal((nr, nc))
+            else:
+                blk = np.sqrt(var / 2.0) * (
+                    rng.standard_normal((nr, nc)) + 1j * rng.standard_normal((nr, nc))
+                )
+            ref[r * nr : (r + 1) * nr, c * nc : (c + 1) * nc] = blk
+    assert np.array_equal(op.materialize(), ref)
 
 
 def test_dense_block_variance():
@@ -166,10 +195,30 @@ def test_design_validation():
     params, W = small_params()
     with pytest.raises(ValueError):
         build_gaussian_design(params, W, seed=0, field="ternary")
-    with pytest.raises(MemoryError):
-        build_gaussian_design(params, W, seed=0, memory_cap=8)
+    # the 8 nonzero blocks of this shape hold 2^34 bytes, above MEMORY_CAP;
+    # the check must fire before any block is drawn
+    huge = SparcParams(n=5 * 2**14, M=2**6, L=2**10, base=W, P=1.0, sigma2=0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError):
+            build_gaussian_design(huge, W, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     op = build_gaussian_design(params, W, seed=0)
     with pytest.raises(ValueError):
         op.apply(np.zeros(3))
     with pytest.raises(ValueError):
         op.apply_scaled_adjoint(np.zeros((W.rows, W.cols)), np.zeros(op.n_rows))
+
+
+def test_dense_memory_check_counts_nonzero_blocks(monkeypatch):
+    # 8 of the 20 blocks of W are nonzero, 8 x 8 doubles each
+    params, W = small_params()
+    nbytes = 8 * 8 * 8 * 8
+    monkeypatch.setattr(design, "MEMORY_CAP", nbytes)
+    build_gaussian_design(params, W, seed=0)
+    monkeypatch.setattr(design, "MEMORY_CAP", nbytes - 1)
+    with pytest.raises(MemoryError):
+        build_gaussian_design(params, W, seed=0)

@@ -18,6 +18,10 @@ def test_random_message_structure_and_determinism():
     b = random_message(2, 3, seed=11)
     assert np.array_equal(a, b)
     check_message_vector(a, 2)
+    # partial section, two ones in a section, fractional entries
+    for bad in ([1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.5, 0.5, 0.0, 1.0]):
+        with pytest.raises(ValueError):
+            check_message_vector(np.array(bad), 2)
 
 
 def test_random_message_uniformity():
@@ -43,6 +47,8 @@ def test_hard_decision():
     # idempotent on message vectors
     msg = random_message(4, 5, seed=0)
     assert np.array_equal(hard_decision(msg, 4), msg)
+    with pytest.raises(ValueError):
+        hard_decision(np.zeros(5), 4)
 
 
 def test_section_error_rate():

@@ -12,7 +12,6 @@ from scsparc.params import (
     channel_capacity,
     derive_code_params,
     is_power_of_2,
-    base_matrix_average_range,
 )
 
 
@@ -122,23 +121,6 @@ def test_code_sizing_errors():
         derive_code_params(1.0, 8, CouplingParams(2, 4), 33, 1.0, 0.5)  # L % Lambda
     with pytest.raises(ValueError):
         derive_code_params(1e9, 8, CouplingParams(2, 4), 32, 1.0, 0.5)  # n rounds to 0
-
-
-def test_base_matrix_average_range():
-    P = 1.0
-    W = build_base_matrix(CouplingParams(omega=3, Lambda=7), P)
-    lo, hi = base_matrix_average_range(W)
-    # edge row sees one band entry, interior rows see three
-    row_avgs = W.entries.mean(axis=1)
-    assert math.isclose(row_avgs[0], 3 * P / 7)
-    assert math.isclose(row_avgs[4], 9 * P / 7)
-    assert lo > 0 or W.entries.min() == 0  # lo can be 0 only via rho=0 rows
-    W2 = build_base_matrix(CouplingParams(omega=2, Lambda=4, rho=0.5), P)
-    lo2, _ = base_matrix_average_range(W2)
-    assert lo2 > 0
-    const = build_base_matrix(CouplingParams(omega=1, Lambda=1), P)
-    lo3, hi3 = base_matrix_average_range(const)
-    assert lo3 == hi3 == P
 
 
 def test_channel_capacity():

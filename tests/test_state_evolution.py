@@ -12,7 +12,6 @@ from scsparc.params import LN2, CouplingParams, build_base_matrix, derive_code_p
 from scsparc.state_evolution import (
     SectionExpectation,
     asymptotic_se,
-    psi_step_bounds,
     progression_report,
     run_se,
     se_step,
@@ -177,16 +176,6 @@ def test_progression_report_flagship():
     assert rep.feasible == (rep.Delta > 0 and 6 > rep.omega_min)
     if rep.feasible:
         assert rep.T_bound == math.ceil(32 / (2 * rep.g))
-
-
-def test_psi_step_bounds_formula():
-    M, delta, k = 2**20, 0.3, 1.0
-    lo, hi = psi_step_bounds(nu=2.5, M=M, delta=delta, delta_tilde=0.2, k=k)
-    floor = M ** (-k * delta**2) / (delta * math.sqrt(math.log(M)))
-    assert math.isclose(hi, 1.0 - (1.0 - floor))
-    assert lo == 0.0  # nu not below 2 - delta_tilde
-    lo2, _ = psi_step_bounds(nu=1.0, M=M, delta=delta, delta_tilde=0.2)
-    assert math.isclose(lo2, 1.0 - M ** (-0.2**2))
 
 
 def test_expectation_validation():

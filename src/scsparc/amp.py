@@ -148,7 +148,7 @@ def eta_denoise(s: np.ndarray, tau: np.ndarray, M: int, col_blocks: int) -> np.n
     x = s.real if np.iscomplexobj(s) else s
     n_sections = x.size // M
     per_block = n_sections // col_blocks
-    scaled = (x / np.repeat(tau, per_block * M)).reshape(n_sections, M)
+    scaled = (x.reshape(col_blocks, per_block * M) / tau[:, np.newaxis]).reshape(n_sections, M)
     scaled -= scaled.max(axis=1, keepdims=True)
     e = np.exp(scaled)
     return (e / e.sum(axis=1, keepdims=True)).ravel()
@@ -203,7 +203,8 @@ def amp_iterate(
         # energy) phi from z^t afterwards.
         sigma_r, _, _ = se.values(t, state, op)
         upsilon = sigma_r / state.phi_prev
-        state.z = y - op.apply(state.beta) + np.repeat(upsilon, op.rows_per_block) * state.z_prev
+        state.z = y - op.apply(state.beta)
+        state.z.reshape(W.rows, -1)[...] += upsilon[:, np.newaxis] * state.z_prev.reshape(W.rows, -1)
         sigma_r, phi_r, tau_c = se.values(t, state, op)
 
     scale = 2.0 if op.field == "complex" else 1.0
@@ -244,6 +245,7 @@ class DecodeDiagnostics:
     phi_trace: np.ndarray
     tau_trace: np.ndarray
     diverged: bool = False
+    clamped: bool = False
     ser: float | None = None
     nmse_overall: float | None = None
     nmse_per_block: np.ndarray | None = None
@@ -299,6 +301,7 @@ def decode(
         phi_trace=np.array(state.phi_trace),
         tau_trace=np.array(state.tau_trace),
         diverged=diverged,
+        clamped=state.clamped,
         beta_soft=state.beta,
     )
     if truth is not None:

@@ -30,6 +30,8 @@ __all__ = [
 
 # bytes: caps the stored dense blocks and any materialized matrix
 MEMORY_CAP = 2 * 1024**3
+# DFT blocks per batched FFT in DftDesign products
+_CHUNK = 8
 
 
 def _check_scaling(S: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -156,6 +158,14 @@ class DftDesign(DesignOperator):
     Block (r, c): sqrt(W_rc/L) * sqrt(N) * F_N[row_subset, perm] * diag(phases)
     with F_N the N-point unitary DFT, N = cols_per_block. Every entry has
     squared magnitude W_rc/L.
+
+    The blocks are stored stacked, one row per nonzero block in row-major
+    order: `_rows` (nb, rows_per_block), `_perm` (nb, N) and `_phases`
+    (nb, N); `_blocks[(r, c)]` holds views into them. Products run over
+    chunks of `_CHUNK` blocks through buffers reused across chunks: one
+    index scatter, one batched FFT and one index gather per chunk. Factors
+    are multiplied in the same order, and blocks summed in the same
+    row-major order, as with one FFT per block, so the floats are the same.
     """
 
     kind = "dft_fast"
@@ -167,18 +177,23 @@ class DftDesign(DesignOperator):
             raise ValueError(f"cols per block ({N}) must be a power of 2")
         if self.rows_per_block > N:
             raise ValueError("rows per block must not exceed cols per block")
+        nb = len(self._nonzero)
+        self._rows = np.empty((nb, self.rows_per_block), dtype=np.int64)
+        self._perm = np.empty((nb, N), dtype=np.int64)
+        self._phases = np.empty((nb, N), dtype=complex)
         # Independent row subset, column permutation and phases per nonzero
         # block, from one child seed per block of W (zero blocks included).
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         children = root.spawn(W.rows * W.cols)
-        for r, c in self._nonzero:
+        for i, (r, c) in enumerate(self._nonzero):
             rng = np.random.default_rng(children[r * W.cols + c])
-            rows = rng.choice(N, size=self.rows_per_block, replace=False)
-            perm = rng.permutation(N)
-            phases = np.exp(2j * np.pi * rng.random(N))
-            self._blocks[(r, c)] = (rows, perm, phases)
+            self._rows[i] = rng.choice(N, size=self.rows_per_block, replace=False)
+            self._perm[i] = rng.permutation(N)
+            np.exp(2j * np.pi * rng.random(N), out=self._phases[i])
+            self._blocks[(r, c)] = (self._rows[i], self._perm[i], self._phases[i])
+        self._stacked_blocks = self._blocks
 
-    def _scale(self, r: int, c: int) -> float:
+    def _scale(self, r, c):
         # sqrt(W/L) * sqrt(N) absorbed: fft is the unnormalized DFT,
         # i.e. sqrt(N) * unitary DFT, so only sqrt(W/L) is applied here.
         return np.sqrt(self.W.entries[r, c] / self.params.L)
@@ -188,30 +203,72 @@ class DftDesign(DesignOperator):
         F = np.exp(-2j * np.pi * np.outer(rows, perm).astype(float) / self.cols_per_block)
         return self._scale(r, c) * F * phases[np.newaxis, :]
 
+    def _stacked(self):
+        """(r, c, scale, rows, perm, phases) of the blocks in `_blocks`,
+        one entry or row per block in dict order."""
+        if self._blocks is self._stacked_blocks:
+            rows, perm, phases = self._rows, self._perm, self._phases
+        else:
+            # `_blocks` was rebound after construction: stack what it holds
+            rows, perm, phases = (np.stack(a) for a in zip(*self._blocks.values()))
+        r, c = np.array(list(self._blocks), dtype=np.intp).T
+        return r, c, self._scale(r, c), rows, perm, phases
+
+    def _scratch(self):
+        """Buffers shared by the chunks of one product: the FFT rows, the
+        values to scatter or scale, their flat indices, and the flat offset
+        of each buffer row."""
+        shape = (_CHUNK, self.cols_per_block)
+        offsets = np.arange(_CHUNK)[:, np.newaxis] * self.cols_per_block
+        return np.empty(shape, complex), np.empty(shape, complex), np.empty(shape, np.intp), offsets
+
     def apply(self, beta):
         self._check_apply_input(beta)
-        nc = self.cols_per_block
+        nr = self.rows_per_block
+        r, c, scale, rows, perm, phases = self._stacked()
+        beta_blocks = beta.reshape(self.W.cols, self.cols_per_block)
         out = np.zeros(self.n_rows, dtype=complex)
-        for (r, c), (rows, perm, phases) in self._blocks.items():
-            v = np.zeros(nc, dtype=complex)
-            v[perm] = phases * beta[c * nc : (c + 1) * nc]
-            out[r * self.rows_per_block : (r + 1) * self.rows_per_block] += (
-                self._scale(r, c) * np.fft.fft(v)[rows]
-            )
+        buf, vals, idx, offsets = self._scratch()
+        flat = buf.reshape(-1)
+        for start in range(0, len(r), _CHUNK):
+            blk = slice(start, start + _CHUNK)
+            k = len(r[blk])
+            # ufunc with out=, not `*`: on a large temporary operand numpy
+            # may swap the complex factors, which changes the rounding
+            np.multiply(phases[blk], beta_blocks[c[blk]], out=vals[:k])
+            np.add(perm[blk], offsets[:k], out=idx[:k])
+            flat[idx[:k]] = vals[:k]
+            np.fft.fft(buf[:k], out=buf[:k])
+            g = flat[rows[blk] + offsets[:k]]
+            g *= scale[blk, np.newaxis]
+            for i, gi in zip(r[blk], g):
+                out[i * nr : (i + 1) * nr] += gi
         return out
 
     def apply_scaled_adjoint(self, S, z):
         self._check_adjoint_input(z)
         S = _check_scaling(S, (self.W.rows, self.W.cols))
-        nr, nc = self.rows_per_block, self.cols_per_block
+        nc = self.cols_per_block
+        r, c, scale, rows, perm, phases = self._stacked()
+        z_blocks = z.reshape(self.W.rows, self.rows_per_block)
+        coef = S[r, c] * scale
         out = np.zeros(self.n_cols, dtype=complex)
-        for (r, c), (rows, perm, phases) in self._blocks.items():
-            u = np.zeros(nc, dtype=complex)
-            u[rows] = z[r * nr : (r + 1) * nr]
-            t = nc * np.fft.ifft(u)  # conjugate-transpose of the DFT
-            out[c * nc : (c + 1) * nc] += (
-                S[r, c] * self._scale(r, c) * phases.conj() * t[perm]
-            )
+        buf, vals, idx, offsets = self._scratch()
+        flat = buf.reshape(-1)
+        for start in range(0, len(r), _CHUNK):
+            blk = slice(start, start + _CHUNK)
+            k = len(r[blk])
+            buf[:k] = 0.0
+            flat[rows[blk] + offsets[:k]] = z_blocks[r[blk]]
+            # unscaled inverse DFT: the conjugate-transpose of fft
+            np.fft.ifft(buf[:k], norm="forward", out=buf[:k])
+            t = vals[:k]
+            np.conjugate(phases[blk], out=t)
+            np.multiply(coef[blk, np.newaxis], t, out=t)
+            np.add(perm[blk], offsets[:k], out=idx[:k])
+            np.multiply(t, flat[idx[:k]], out=t)
+            for j, tj in zip(c[blk], t):
+                out[j * nc : (j + 1) * nc] += tj
         return out
 
 

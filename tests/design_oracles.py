@@ -1,0 +1,66 @@
+"""Reference randomized-DFT design draws and products, used as test oracles.
+
+`reference_dft_blocks` draws the blocks of `scsparc.design.DftDesign` one
+array per block, from the same child seeds in the same row-major order.
+`reference_apply` and `reference_scaled_adjoint` are the straightforward
+products over an operator's `_blocks`: one zero-filled vector and one
+unbatched FFT per nonzero block. `reference_materialize` is the dense form
+of a block dict.
+"""
+
+import numpy as np
+
+
+def reference_dft_blocks(params, W, seed) -> dict:
+    """{(r, c): (rows, perm, phases)} for the nonzero blocks of W."""
+    N = params.M * params.L // W.cols
+    rows_per_block = params.n // 2 // W.rows
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    children = root.spawn(W.rows * W.cols)
+    blocks = {}
+    for r, c in np.argwhere(W.entries != 0.0).tolist():
+        rng = np.random.default_rng(children[r * W.cols + c])
+        rows = rng.choice(N, size=rows_per_block, replace=False)
+        perm = rng.permutation(N)
+        phases = np.exp(2j * np.pi * rng.random(N))
+        blocks[(r, c)] = (rows, perm, phases)
+    return blocks
+
+
+def _scale(params, W, r, c):
+    return np.sqrt(W.entries[r, c] / params.L)
+
+
+def reference_materialize(params, W, blocks) -> np.ndarray:
+    N = params.M * params.L // W.cols
+    nr = params.n // 2 // W.rows
+    A = np.zeros((params.n // 2, params.M * params.L), dtype=complex)
+    for (r, c), (rows, perm, phases) in blocks.items():
+        F = np.exp(-2j * np.pi * np.outer(rows, perm).astype(float) / N)
+        A[r * nr : (r + 1) * nr, c * N : (c + 1) * N] = (
+            _scale(params, W, r, c) * F * phases[np.newaxis, :]
+        )
+    return A
+
+
+def reference_apply(op, beta: np.ndarray) -> np.ndarray:
+    nr, nc = op.rows_per_block, op.cols_per_block
+    out = np.zeros(op.n_rows, dtype=complex)
+    for (r, c), (rows, perm, phases) in op._blocks.items():
+        v = np.zeros(nc, dtype=complex)
+        v[perm] = phases * beta[c * nc : (c + 1) * nc]
+        out[r * nr : (r + 1) * nr] += _scale(op.params, op.W, r, c) * np.fft.fft(v)[rows]
+    return out
+
+
+def reference_scaled_adjoint(op, S: np.ndarray, z: np.ndarray) -> np.ndarray:
+    nr, nc = op.rows_per_block, op.cols_per_block
+    out = np.zeros(op.n_cols, dtype=complex)
+    for (r, c), (rows, perm, phases) in op._blocks.items():
+        u = np.zeros(nc, dtype=complex)
+        u[rows] = z[r * nr : (r + 1) * nr]
+        t = nc * np.fft.ifft(u)  # conjugate-transpose of the DFT
+        out[c * nc : (c + 1) * nc] += (
+            S[r, c] * _scale(op.params, op.W, r, c) * phases.conj() * t[perm]
+        )
+    return out

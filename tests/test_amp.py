@@ -203,3 +203,52 @@ def test_decode_divergence_guard():
     decoded, diag = decode(op, 1e12 * y, se, AmpConfig(t_max=5), truth=beta)
     assert diag.diverged
     assert diag.stop_reason == "diverged"
+
+
+def test_eta_denoise_matches_repeat_formula():
+    # the per-column-block tau is broadcast, not repeated to full length
+    rng = np.random.default_rng(4)
+    M, col_blocks, per_block = 8, 5, 3
+    tau = rng.uniform(0.05, 3.0, col_blocks)
+    s = rng.standard_normal(M * col_blocks * per_block) * 10
+    for x in (s, s + 1j * rng.standard_normal(s.size)):
+        scaled = (x.real / np.repeat(tau, per_block * M)).reshape(-1, M)
+        scaled -= scaled.max(axis=1, keepdims=True)
+        e = np.exp(scaled)
+        ref = (e / e.sum(axis=1, keepdims=True)).ravel()
+        assert np.array_equal(eta_denoise(x, tau, M, col_blocks), ref)
+
+
+@pytest.mark.parametrize("operator", ["dense", "dft"])
+def test_amp_iterate_residual_matches_repeat_formula(operator):
+    # z^t = y - A beta^t + repeat(upsilon, rows_per_block) * z^{t-1}, bit for bit
+    if operator == "dense":
+        params, base, op, beta, y = small_setup(seed=2)
+    else:
+        base = build_base_matrix(CouplingParams(2, 4), 1.0)
+        params = SparcParams(n=40, M=4, L=8, base=base, P=1.0, sigma2=1.0 / 20)
+        op = build_dft_design(params, base, seed=11)
+        ch = ChannelParams(params.sigma2, params.P, field="complex")
+        y = transmit(op.apply(random_message(4, 8, seed=12)), ch, seed=13)
+    se = OnlineSeSource(base, params, params.sigma2)
+    state = DecoderState.initial(op)
+    for _ in range(3):
+        beta_t, z_prev, phi_prev = state.beta, state.z, state.phi_prev
+        amp_iterate(state, op, y, se)
+    # upsilon^t = sigma^t / phi^{t-1}, with sigma^t from beta^t
+    probe = DecoderState.initial(op)
+    probe.beta = beta_t
+    sigma_r = online_se_update(probe, base, params, op, params.sigma2)[0]
+    upsilon = sigma_r / phi_prev
+    ref = y - op.apply(beta_t) + np.repeat(upsilon, op.rows_per_block) * z_prev
+    assert np.array_equal(state.z, ref)
+
+
+def test_decode_reports_clamped_phi():
+    params, base, op, beta, y = small_setup(seed=4)
+    _, diag = decode(op, y, OnlineSeSource(base, params, params.sigma2), AmpConfig(t_max=3))
+    assert not diag.clamped
+    # a negative known noise variance forces phi_r = sigma2 + sigma_r <= 0
+    se = OnlineSeSource(base, params, sigma2_known=-10.0)
+    _, diag = decode(op, y, se, AmpConfig(t_max=3))
+    assert diag.clamped

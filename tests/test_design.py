@@ -8,7 +8,13 @@ import pytest
 from scsparc import design
 from scsparc.design import build_dft_design, build_gaussian_design
 from scsparc.message import random_message
-from scsparc.params import CouplingParams, SparcParams, build_base_matrix
+from scsparc.params import CouplingParams, SparcParams, build_base_matrix, derive_code_params
+from design_oracles import (
+    reference_apply,
+    reference_dft_blocks,
+    reference_materialize,
+    reference_scaled_adjoint,
+)
 
 
 def small_params(M=4, L=8, omega=2, Lambda=4, n=40, sigma2=0.1, P=1.0):
@@ -222,3 +228,112 @@ def test_dense_memory_check_counts_nonzero_blocks(monkeypatch):
     monkeypatch.setattr(design, "MEMORY_CAP", nbytes - 1)
     with pytest.raises(MemoryError):
         build_gaussian_design(params, W, seed=0)
+
+
+# (omega, Lambda, rho) -> nonzero blocks: one block, fewer than one chunk,
+# exactly one chunk, not a multiple of the chunk, every block of W nonzero
+DFT_SHAPES = {(1, 1, 0.0): 1, (2, 3, 0.0): 6, (2, 4, 0.0): 8, (3, 5, 0.0): 15, (2, 4, 0.25): 20}
+
+
+def dft_params(omega, Lambda, rho, M=4, rows_per_block=6):
+    # cols per block M * L / Lambda = 16
+    base = build_base_matrix(CouplingParams(omega, Lambda, rho), 1.0)
+    n = 2 * rows_per_block * base.rows
+    return SparcParams(n=n, M=M, L=4 * Lambda, base=base, P=1.0, sigma2=0.1), base
+
+
+def test_dft_shapes_cover_the_chunk_boundaries():
+    counts = set(DFT_SHAPES.values())
+    assert 1 in counts and design._CHUNK in counts
+    assert any(1 < k < design._CHUNK for k in counts)
+    assert any(k > design._CHUNK and k % design._CHUNK for k in counts)
+
+
+@pytest.mark.parametrize("shape", list(DFT_SHAPES), ids=lambda s: f"{DFT_SHAPES[s]}blocks")
+def test_dft_products_match_per_block_oracle(shape):
+    params, W = dft_params(*shape)
+    rng = np.random.default_rng(DFT_SHAPES[shape])
+    for seed in range(3):
+        op = build_dft_design(params, W, seed=seed)
+        assert len(op._blocks) == DFT_SHAPES[shape]
+        for beta in (
+            rng.standard_normal(op.n_cols),
+            rng.standard_normal(op.n_cols) + 1j * rng.standard_normal(op.n_cols),
+        ):
+            assert np.array_equal(op.apply(beta), reference_apply(op, beta))
+        S = rng.uniform(0.1, 3.0, size=(W.rows, W.cols))
+        z = rng.standard_normal(op.n_rows) + 1j * rng.standard_normal(op.n_rows)
+        ref = reference_scaled_adjoint(op, S, z)
+        got = op.apply_scaled_adjoint(S, z)
+        assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("shape", list(DFT_SHAPES), ids=lambda s: f"{DFT_SHAPES[s]}blocks")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dft_draws_match_per_block_oracle(shape, seed):
+    params, W = dft_params(*shape)
+    op = build_dft_design(params, W, seed=seed)
+    ref = reference_dft_blocks(params, W, seed)
+    assert list(op._blocks) == list(ref)
+    for key, block in op._blocks.items():
+        # views into the stacked arrays, equal to the per-block draws
+        for got, want, stacked in zip(block, ref[key], (op._rows, op._perm, op._phases)):
+            assert np.shares_memory(got, stacked)
+            assert np.array_equal(got, want)
+    assert np.array_equal(op.materialize(), reference_materialize(params, W, ref))
+
+
+class ConjugatedPhases(design.DftDesign):
+    """A faulty operator: its adjoint reads phase-conjugated block copies
+    through a rebound `_blocks`."""
+
+    def apply_scaled_adjoint(self, S, z):
+        saved = self._blocks
+        self._blocks = {k: (rows, perm, ph.conj()) for k, (rows, perm, ph) in saved.items()}
+        try:
+            return super().apply_scaled_adjoint(S, z)
+        finally:
+            self._blocks = saved
+
+
+def test_dft_products_read_a_rebound_block_dict():
+    params, W = dft_params(3, 5, 0.0)
+    ones = np.ones((W.rows, W.cols))
+    rng = np.random.default_rng(3)
+    gaps = []
+    for cls in (design.DftDesign, ConjugatedPhases):
+        op = cls(params, W, 4)
+        beta = rng.standard_normal(op.n_cols) + 1j * rng.standard_normal(op.n_cols)
+        z = rng.standard_normal(op.n_rows) + 1j * rng.standard_normal(op.n_rows)
+        ax = op.apply(beta)
+        gap = abs(np.vdot(z, ax) - np.vdot(op.apply_scaled_adjoint(ones, z), beta))
+        gaps.append(gap / (np.linalg.norm(ax) * np.linalg.norm(z)))
+    assert gaps[0] < 1e-9
+    assert gaps[1] > 1e-3
+
+
+def test_dft_memory_at_offline_sweep_size():
+    # M=128, L=1024, omega=6, Lambda=32, 1.5 bits: 192 blocks of 4096 columns
+    params = derive_code_params(
+        1.5 * np.log(2), 128, CouplingParams(6, 32), 1024, 1.0, 0.1, even=True
+    )
+    W = params.base
+    tracemalloc.start()
+    try:
+        op = build_dft_design(params, W, seed=1)
+        _, build_peak = tracemalloc.get_traced_memory()
+        stored = op._rows.nbytes + op._perm.nbytes + op._phases.nbytes
+        rng = np.random.default_rng(0)
+        beta = rng.standard_normal(op.n_cols)
+        z = rng.standard_normal(op.n_rows) + 1j * rng.standard_normal(op.n_rows)
+        S = np.ones((W.rows, W.cols))
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out_a = op.apply(beta)
+        out_h = op.apply_scaled_adjoint(S, z)
+        _, product_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(op._blocks) == 192
+    assert build_peak <= 1.1 * stored
+    assert product_peak - before - out_a.nbytes - out_h.nbytes <= 4 * 2**20

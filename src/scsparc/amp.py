@@ -124,6 +124,8 @@ class OnlineSeSource(SeSource):
     """
 
     def __init__(self, W: BaseMatrix, params: SparcParams, sigma2_known: float | None):
+        if sigma2_known is not None and not (np.isfinite(sigma2_known) and sigma2_known > 0):
+            raise ValueError(f"sigma2_known must be positive and finite, got {sigma2_known}")
         self.W = W
         self.params = params
         self.sigma2_known = sigma2_known

@@ -5,10 +5,11 @@ variance W[r, c]/L per entry. Both kinds store only the blocks where
 W[r, c] != 0, in a dict keyed by (r, c) in row-major order:
 
  * dense_gaussian: explicit i.i.d. Gaussian blocks, real or complex field.
- * dft_fast: each nonzero block is a row-subsampled unitary DFT with a
-   random column permutation and i.i.d. random phases per column, scaled so
-   every entry has squared magnitude W[r, c]/L. Products use the FFT and
-   cost O(ML log ML). This kind is complex-field by construction.
+ * dft_fast: each nonzero block is a row subset of a unitary DFT with a
+   random column permutation and i.i.d. random phases, scaled so every
+   entry has squared magnitude W[r, c]/L. The blocks of one column block
+   share its permutation and phases, so a product runs one FFT per column
+   block and costs O(ML log ML). This kind is complex-field by construction.
 
 For the complex field, the operator has params.n // 2 rows (n counts real
 dimensions throughout).
@@ -30,8 +31,6 @@ __all__ = [
 
 # bytes: caps the stored dense blocks and any materialized matrix
 MEMORY_CAP = 2 * 1024**3
-# DFT blocks per batched FFT in DftDesign products
-_CHUNK = 8
 
 
 def _check_scaling(S: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -155,43 +154,57 @@ class DenseGaussianDesign(DesignOperator):
 class DftDesign(DesignOperator):
     """Fast operator whose nonzero blocks are randomized unitary-DFT rows.
 
-    Block (r, c): sqrt(W_rc/L) * sqrt(N) * F_N[row_subset, perm] * diag(phases)
+    Block (r, c): sqrt(W_rc/L) * sqrt(N) * F_N[rows_rc, perm_c] * diag(phases_c)
     with F_N the N-point unitary DFT, N = cols_per_block. Every entry has
     squared magnitude W_rc/L.
 
-    The blocks are stored stacked, one row per nonzero block in row-major
-    order: `_rows` (nb, rows_per_block), `_perm` (nb, N) and `_phases`
-    (nb, N); `_blocks[(r, c)]` holds views into them. Products run over
-    chunks of `_CHUNK` blocks through buffers reused across chunks: one
-    index scatter, one batched FFT and one index gather per chunk. Factors
-    are multiplied in the same order, and blocks summed in the same
-    row-major order, as with one FFT per block, so the floats are the same.
+    All nonzero blocks of column block c share one column permutation
+    `perm_c` and one phase vector `phases_c`, so the blocks of a column are
+    row subsets of one randomized transform. Column c draws from its own
+    child seed: the row subsets of its blocks in row order, then `perm_c`,
+    then `phases_c`. The row subsets come from successive draws without
+    replacement of up to N // rows_per_block blocks each, so the blocks of
+    a column have disjoint rows whenever they fit in N rows.
+
+    Stored: `_rows` (nb, rows_per_block), one row per nonzero block in
+    row-major order, and `_perm` and `_phases` (col_blocks, N), one row
+    per column block; `_blocks[(r, c)]` holds views
+    `(rows_rc, perm_c, phases_c)` into them. A product runs one batched
+    FFT over the column blocks. `apply` gathers and
+    scales each block's rows and adds each row block's terms in block
+    order, as one FFT per block would, so its floats are the same. The
+    adjoint adds each block's scaled rows into its column's spectrum before
+    one inverse FFT per column, so it matches one FFT per block to rounding.
     """
 
     kind = "dft_fast"
 
     def __init__(self, params: SparcParams, W: BaseMatrix, seed):
         super().__init__(params, W, "complex")
-        N = self.cols_per_block
+        N, nr = self.cols_per_block, self.rows_per_block
         if not is_power_of_2(N):
             raise ValueError(f"cols per block ({N}) must be a power of 2")
-        if self.rows_per_block > N:
+        if nr > N:
             raise ValueError("rows per block must not exceed cols per block")
-        nb = len(self._nonzero)
-        self._rows = np.empty((nb, self.rows_per_block), dtype=np.int64)
-        self._perm = np.empty((nb, N), dtype=np.int64)
-        self._phases = np.empty((nb, N), dtype=complex)
-        # Independent row subset, column permutation and phases per nonzero
-        # block, from one child seed per block of W (zero blocks included).
+        self._rows = np.empty((len(self._nonzero), nr), dtype=np.int64)
+        self._perm = np.empty((W.cols, N), dtype=np.int64)
+        self._phases = np.empty((W.cols, N), dtype=complex)
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = root.spawn(W.rows * W.cols)
-        for i, (r, c) in enumerate(self._nonzero):
-            rng = np.random.default_rng(children[r * W.cols + c])
-            self._rows[i] = rng.choice(N, size=self.rows_per_block, replace=False)
-            self._perm[i] = rng.permutation(N)
-            np.exp(2j * np.pi * rng.random(N), out=self._phases[i])
-            self._blocks[(r, c)] = (self._rows[i], self._perm[i], self._phases[i])
-        self._stacked_blocks = self._blocks
+        per_draw = N // nr
+        for c, child in enumerate(root.spawn(W.cols)):
+            rng = np.random.default_rng(child)
+            blocks = [i for i, (_, col) in enumerate(self._nonzero) if col == c]
+            for start in range(0, len(blocks), per_draw):
+                drawn = blocks[start : start + per_draw]
+                rows = rng.choice(N, size=len(drawn) * nr, replace=False)
+                self._rows[drawn] = rows.reshape(len(drawn), nr)
+            self._perm[c] = rng.permutation(N)
+            np.exp(2j * np.pi * rng.random(N), out=self._phases[c])
+        self._blocks = {
+            (r, c): (self._rows[i], self._perm[c], self._phases[c])
+            for i, (r, c) in enumerate(self._nonzero)
+        }
+        self._drawn_blocks = self._blocks
 
     def _scale(self, r, c):
         # sqrt(W/L) * sqrt(N) absorbed: fft is the unnormalized DFT,
@@ -203,72 +216,66 @@ class DftDesign(DesignOperator):
         F = np.exp(-2j * np.pi * np.outer(rows, perm).astype(float) / self.cols_per_block)
         return self._scale(r, c) * F * phases[np.newaxis, :]
 
-    def _stacked(self):
-        """(r, c, scale, rows, perm, phases) of the blocks in `_blocks`,
-        one entry or row per block in dict order."""
-        if self._blocks is self._stacked_blocks:
+    def _layout(self):
+        """Row block `r`, column block `c`, scale and row subset of each
+        block in `_blocks` (dict order), and the permutation and phases of
+        each column block."""
+        r, c = np.array(list(self._blocks), dtype=np.intp).reshape(-1, 2).T
+        if self._blocks is self._drawn_blocks:
             rows, perm, phases = self._rows, self._perm, self._phases
         else:
-            # `_blocks` was rebound after construction: stack what it holds
-            rows, perm, phases = (np.stack(a) for a in zip(*self._blocks.values()))
-        r, c = np.array(list(self._blocks), dtype=np.intp).T
+            # `_blocks` was rebound after construction: use what it holds
+            shared: dict = {}
+            for (_, col), (_, p, ph) in self._blocks.items():
+                p0, ph0 = shared.setdefault(col, (p, ph))
+                if not (np.array_equal(p, p0) and np.array_equal(ph, ph0)):
+                    raise ValueError(
+                        f"blocks of column block {col} disagree on their permutation or phases"
+                    )
+            perm, phases = self._perm.copy(), self._phases.copy()
+            for col, (p, ph) in shared.items():
+                perm[col], phases[col] = p, ph
+            rows = np.stack([block[0] for block in self._blocks.values()])
         return r, c, self._scale(r, c), rows, perm, phases
-
-    def _scratch(self):
-        """Buffers shared by the chunks of one product: the FFT rows, the
-        values to scatter or scale, their flat indices, and the flat offset
-        of each buffer row."""
-        shape = (_CHUNK, self.cols_per_block)
-        offsets = np.arange(_CHUNK)[:, np.newaxis] * self.cols_per_block
-        return np.empty(shape, complex), np.empty(shape, complex), np.empty(shape, np.intp), offsets
 
     def apply(self, beta):
         self._check_apply_input(beta)
-        nr = self.rows_per_block
-        r, c, scale, rows, perm, phases = self._stacked()
-        beta_blocks = beta.reshape(self.W.cols, self.cols_per_block)
+        N = self.cols_per_block
+        r, c, scale, rows, perm, phases = self._layout()
+        beta_blocks = beta.reshape(self.W.cols, N)
+        buf = np.empty((self.W.cols, N), dtype=complex)
+        vals = np.empty(N, dtype=complex)
+        for col in range(self.W.cols):
+            np.multiply(phases[col], beta_blocks[col], out=vals)
+            buf[col, perm[col]] = vals
+        np.fft.fft(buf, out=buf)
+        g = buf.reshape(-1)[rows + (c * N)[:, np.newaxis]]
+        g *= scale[:, np.newaxis]
         out = np.zeros(self.n_rows, dtype=complex)
-        buf, vals, idx, offsets = self._scratch()
-        flat = buf.reshape(-1)
-        for start in range(0, len(r), _CHUNK):
-            blk = slice(start, start + _CHUNK)
-            k = len(r[blk])
-            # ufunc with out=, not `*`: on a large temporary operand numpy
-            # may swap the complex factors, which changes the rounding
-            np.multiply(phases[blk], beta_blocks[c[blk]], out=vals[:k])
-            np.add(perm[blk], offsets[:k], out=idx[:k])
-            flat[idx[:k]] = vals[:k]
-            np.fft.fft(buf[:k], out=buf[:k])
-            g = flat[rows[blk] + offsets[:k]]
-            g *= scale[blk, np.newaxis]
-            for i, gi in zip(r[blk], g):
-                out[i * nr : (i + 1) * nr] += gi
+        # add.at adds the terms one at a time in dict order, as a loop would
+        np.add.at(out.reshape(self.W.rows, self.rows_per_block), r, g)
         return out
 
     def apply_scaled_adjoint(self, S, z):
         self._check_adjoint_input(z)
         S = _check_scaling(S, (self.W.rows, self.W.cols))
-        nc = self.cols_per_block
-        r, c, scale, rows, perm, phases = self._stacked()
+        N = self.cols_per_block
+        r, c, scale, rows, perm, phases = self._layout()
         z_blocks = z.reshape(self.W.rows, self.rows_per_block)
-        coef = S[r, c] * scale
+        # the spectra are built in the output itself: one array of this
+        # size per call, not two, so the allocator keeps reusing its pages
         out = np.zeros(self.n_cols, dtype=complex)
-        buf, vals, idx, offsets = self._scratch()
-        flat = buf.reshape(-1)
-        for start in range(0, len(r), _CHUNK):
-            blk = slice(start, start + _CHUNK)
-            k = len(r[blk])
-            buf[:k] = 0.0
-            flat[rows[blk] + offsets[:k]] = z_blocks[r[blk]]
-            # unscaled inverse DFT: the conjugate-transpose of fft
-            np.fft.ifft(buf[:k], norm="forward", out=buf[:k])
-            t = vals[:k]
-            np.conjugate(phases[blk], out=t)
-            np.multiply(coef[blk, np.newaxis], t, out=t)
-            np.add(perm[blk], offsets[:k], out=idx[:k])
-            np.multiply(t, flat[idx[:k]], out=t)
-            for j, tj in zip(c[blk], t):
-                out[j * nc : (j + 1) * nc] += tj
+        out_blocks = out.reshape(self.W.cols, N)
+        # add.at: row subsets from different draws of one column may overlap
+        np.add.at(
+            out,
+            rows + (c * N)[:, np.newaxis],
+            (S[r, c] * scale)[:, np.newaxis] * z_blocks[r],
+        )
+        # unscaled inverse DFT: the conjugate-transpose of fft
+        np.fft.ifft(out_blocks, norm="forward", out=out_blocks)
+        for col in range(self.W.cols):
+            out_blocks[col] = phases[col].conj() * out_blocks[col, perm[col]]
         return out
 
 

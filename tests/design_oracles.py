@@ -1,7 +1,9 @@
 """Reference randomized-DFT design draws and products, used as test oracles.
 
 `reference_dft_blocks` draws the blocks of `scsparc.design.DftDesign` one
-array per block, from the same child seeds in the same row-major order.
+column block at a time, one array per block, from the same child seed per
+column in the same order; the blocks of a column share one permutation and
+one phase vector.
 `reference_apply` and `reference_scaled_adjoint` are the straightforward
 products over an operator's `_blocks`: one zero-filled vector and one
 unbatched FFT per nonzero block. `reference_materialize` is the dense form
@@ -15,16 +17,25 @@ def reference_dft_blocks(params, W, seed) -> dict:
     """{(r, c): (rows, perm, phases)} for the nonzero blocks of W."""
     N = params.M * params.L // W.cols
     rows_per_block = params.n // 2 // W.rows
+    per_draw = N // rows_per_block
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(W.rows * W.cols)
+    children = root.spawn(W.cols)
     blocks = {}
-    for r, c in np.argwhere(W.entries != 0.0).tolist():
-        rng = np.random.default_rng(children[r * W.cols + c])
-        rows = rng.choice(N, size=rows_per_block, replace=False)
+    for c in range(W.cols):
+        col_rows = [r for r in range(W.rows) if W.entries[r, c] != 0.0]
+        if not col_rows:
+            continue
+        rng = np.random.default_rng(children[c])
+        subsets = []
+        for start in range(0, len(col_rows), per_draw):
+            k = len(col_rows[start : start + per_draw])
+            drawn = rng.choice(N, size=k * rows_per_block, replace=False)
+            subsets.extend(drawn.reshape(k, rows_per_block))
         perm = rng.permutation(N)
         phases = np.exp(2j * np.pi * rng.random(N))
-        blocks[(r, c)] = (rows, perm, phases)
-    return blocks
+        for r, rows in zip(col_rows, subsets):
+            blocks[(r, c)] = (rows, perm, phases)
+    return dict(sorted(blocks.items()))
 
 
 def _scale(params, W, r, c):

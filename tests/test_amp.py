@@ -248,7 +248,14 @@ def test_decode_reports_clamped_phi():
     params, base, op, beta, y = small_setup(seed=4)
     _, diag = decode(op, y, OnlineSeSource(base, params, params.sigma2), AmpConfig(t_max=3))
     assert not diag.clamped
-    # a negative known noise variance forces phi_r = sigma2 + sigma_r <= 0
-    se = OnlineSeSource(base, params, sigma2_known=-10.0)
-    _, diag = decode(op, y, se, AmpConfig(t_max=3))
+    # an all-zero y has zero residual energy, so the measured phi_r is 0
+    se = OnlineSeSource(base, params, sigma2_known=None)
+    _, diag = decode(op, np.zeros_like(y), se, AmpConfig(t_max=3))
     assert diag.clamped
+
+
+@pytest.mark.parametrize("sigma2_known", [0.0, -10.0, np.nan, np.inf])
+def test_online_source_rejects_a_bad_known_noise_variance(sigma2_known):
+    params, base, *_ = small_setup()
+    with pytest.raises(ValueError, match="sigma2_known"):
+        OnlineSeSource(base, params, sigma2_known)

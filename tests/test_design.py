@@ -230,9 +230,12 @@ def test_dense_memory_check_counts_nonzero_blocks(monkeypatch):
         build_gaussian_design(params, W, seed=0)
 
 
-# (omega, Lambda, rho) -> nonzero blocks: one block, fewer than one chunk,
-# exactly one chunk, not a multiple of the chunk, every block of W nonzero
+# (omega, Lambda, rho) -> nonzero blocks: one block, one to five blocks
+# per column. With 6 rows per block and N = 16 one row draw covers 2
+# blocks, so a column takes up to MOST_DRAWS draws (the 3-block columns of
+# (3, 5, 0) take 2, the 5-block columns of (2, 4, 0.25) take 3).
 DFT_SHAPES = {(1, 1, 0.0): 1, (2, 3, 0.0): 6, (2, 4, 0.0): 8, (3, 5, 0.0): 15, (2, 4, 0.25): 20}
+MOST_DRAWS = {(1, 1, 0.0): 1, (2, 3, 0.0): 1, (2, 4, 0.0): 1, (3, 5, 0.0): 2, (2, 4, 0.25): 3}
 
 
 def dft_params(omega, Lambda, rho, M=4, rows_per_block=6):
@@ -242,11 +245,39 @@ def dft_params(omega, Lambda, rho, M=4, rows_per_block=6):
     return SparcParams(n=n, M=M, L=4 * Lambda, base=base, P=1.0, sigma2=0.1), base
 
 
-def test_dft_shapes_cover_the_chunk_boundaries():
-    counts = set(DFT_SHAPES.values())
-    assert 1 in counts and design._CHUNK in counts
-    assert any(1 < k < design._CHUNK for k in counts)
-    assert any(k > design._CHUNK and k % design._CHUNK for k in counts)
+@pytest.mark.parametrize("shape", list(DFT_SHAPES), ids=lambda s: f"{DFT_SHAPES[s]}blocks")
+def test_dft_blocks_of_a_column_share_one_randomization(shape):
+    params, W = dft_params(*shape)
+    op = build_dft_design(params, W, seed=5)
+    nr, per_draw = op.rows_per_block, op.cols_per_block // op.rows_per_block
+    most_draws = 0
+    for c in range(W.cols):
+        col = [block for (_, cc), block in op._blocks.items() if cc == c]
+        _, perm, phases = col[0]
+        for rows, p, ph in col:
+            # views of the column's one stored row
+            assert np.shares_memory(p, perm) and np.array_equal(p, perm)
+            assert np.shares_memory(ph, phases) and np.array_equal(ph, phases)
+            assert len(np.unique(rows)) == nr
+        draws = [col[i : i + per_draw] for i in range(0, len(col), per_draw)]
+        for draw in draws:
+            rows = np.concatenate([block[0] for block in draw])
+            assert len(np.unique(rows)) == len(rows)
+        most_draws = max(most_draws, len(draws))
+    assert most_draws == MOST_DRAWS[shape]
+
+
+def test_dft_products_reject_blocks_that_disagree_within_a_column():
+    params, W = dft_params(2, 4, 0.25)
+    op = build_dft_design(params, W, seed=0)
+    (r, c), (rows, perm, phases) = next(iter(op._blocks.items()))
+    op._blocks = dict(op._blocks)
+    op._blocks[(r, c)] = (rows, perm, phases.conj())
+    with pytest.raises(ValueError, match="disagree"):
+        op.apply(np.ones(op.n_cols))
+    op._blocks[(r, c)] = (rows, perm[::-1].copy(), phases)
+    with pytest.raises(ValueError, match="disagree"):
+        op.apply_scaled_adjoint(np.ones((W.rows, W.cols)), np.ones(op.n_rows, dtype=complex))
 
 
 @pytest.mark.parametrize("shape", list(DFT_SHAPES), ids=lambda s: f"{DFT_SHAPES[s]}blocks")
@@ -276,7 +307,7 @@ def test_dft_draws_match_per_block_oracle(shape, seed):
     ref = reference_dft_blocks(params, W, seed)
     assert list(op._blocks) == list(ref)
     for key, block in op._blocks.items():
-        # views into the stacked arrays, equal to the per-block draws
+        # views into the stored arrays, equal to the per-column draws
         for got, want, stacked in zip(block, ref[key], (op._rows, op._perm, op._phases)):
             assert np.shares_memory(got, stacked)
             assert np.array_equal(got, want)
@@ -318,12 +349,14 @@ def test_dft_memory_at_offline_sweep_size():
         1.5 * np.log(2), 128, CouplingParams(6, 32), 1024, 1.0, 0.1, even=True
     )
     W = params.base
+    # numpy 2 imports numpy.random on first use; keep that import out of
+    # the constructor's peak
+    rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
         op = build_dft_design(params, W, seed=1)
         _, build_peak = tracemalloc.get_traced_memory()
         stored = op._rows.nbytes + op._perm.nbytes + op._phases.nbytes
-        rng = np.random.default_rng(0)
         beta = rng.standard_normal(op.n_cols)
         z = rng.standard_normal(op.n_rows) + 1j * rng.standard_normal(op.n_rows)
         S = np.ones((W.rows, W.cols))

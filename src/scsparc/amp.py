@@ -14,6 +14,8 @@ real part with variance tau; the same real-valued state evolution applies.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +39,9 @@ __all__ = [
     "decode",
 ]
 
+# amp_iterate's stages: residual (with the forward product), adjoint (the
+# effective observation), denoiser, and the state-evolution source
+STAGES = ("residual", "adjoint", "denoise", "se_update")
 PHI_CLAMP_FACTOR = 1e-12
 # decode stops as diverged once some phi exceeds this multiple of
 # sigma2 + max_r mean_c W[r, c]
@@ -65,6 +70,8 @@ class DecoderState:
     phi_trace: list = field(default_factory=list)
     tau_trace: list = field(default_factory=list)
     clamped: bool = False
+    # seconds spent in each stage of amp_iterate, summed over iterations
+    stage_s: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
 
     @classmethod
     def initial(cls, op: DesignOperator) -> "DecoderState":
@@ -145,15 +152,17 @@ def eta_denoise(s: np.ndarray, tau: np.ndarray, M: int, col_blocks: int) -> np.n
     per-section max subtraction, which cannot overflow.
     """
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0):
-        raise ValueError("tau entries must be positive")
+    if not np.all((tau > 0) & np.isfinite(tau)):
+        raise ValueError("tau entries must be positive and finite")
     x = s.real if np.iscomplexobj(s) else s
     n_sections = x.size // M
     per_block = n_sections // col_blocks
-    scaled = (x.reshape(col_blocks, per_block * M) / tau[:, np.newaxis]).reshape(n_sections, M)
-    scaled -= scaled.max(axis=1, keepdims=True)
-    e = np.exp(scaled)
-    return (e / e.sum(axis=1, keepdims=True)).ravel()
+    # every step after the division works in place, in the output itself
+    out = (x.reshape(col_blocks, per_block * M) / tau[:, np.newaxis]).reshape(n_sections, M)
+    out -= out.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out.reshape(-1)
 
 
 def online_se_update(
@@ -182,6 +191,15 @@ def online_se_update(
     return sigma_r, phi_r, tau_c
 
 
+@contextmanager
+def _stage(state: DecoderState, name: str):
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        state.stage_s[name] += time.perf_counter() - start
+
+
 def amp_iterate(
     state: DecoderState, op: DesignOperator, y: np.ndarray, se: SeSource
 ) -> DecoderState:
@@ -197,22 +215,30 @@ def amp_iterate(
     W = op.W
 
     if t == 0:
-        state.z = y.copy()
-        sigma_r, phi_r, tau_c = se.values(t, state, op)
+        with _stage(state, "residual"):
+            state.z = y.copy()
+        with _stage(state, "se_update"):
+            sigma_r, phi_r, tau_c = se.values(t, state, op)
     else:
         # The Onsager coefficient needs sigma^t before z^t exists, so the
         # sources compute sigma from beta^t and (if measuring residual
         # energy) phi from z^t afterwards.
-        sigma_r, _, _ = se.values(t, state, op)
-        upsilon = sigma_r / state.phi_prev
-        state.z = y - op.apply(state.beta)
-        state.z.reshape(W.rows, -1)[...] += upsilon[:, np.newaxis] * state.z_prev.reshape(W.rows, -1)
-        sigma_r, phi_r, tau_c = se.values(t, state, op)
+        with _stage(state, "se_update"):
+            sigma_r, _, _ = se.values(t, state, op)
+        with _stage(state, "residual"):
+            upsilon = sigma_r / state.phi_prev
+            state.z = y - op.apply(state.beta)
+            state.z.reshape(W.rows, -1)[...] += upsilon[:, np.newaxis] * state.z_prev.reshape(W.rows, -1)
+        with _stage(state, "se_update"):
+            sigma_r, phi_r, tau_c = se.values(t, state, op)
 
     scale = 2.0 if op.field == "complex" else 1.0
     S = scale * tau_c[np.newaxis, :] / phi_r[:, np.newaxis]
-    s = state.beta + op.apply_scaled_adjoint(S, state.z)
-    beta_next = eta_denoise(s, tau_c, params.M, W.cols)
+    with _stage(state, "adjoint"):
+        # the denoiser reads only the real part of s
+        s = state.beta.real + op.apply_scaled_adjoint(S, state.z).real
+    with _stage(state, "denoise"):
+        beta_next = eta_denoise(s, tau_c, params.M, W.cols)
 
     if not (np.all(np.isfinite(beta_next)) and np.all(np.isfinite(state.z))):
         raise FloatingPointError(f"AMP diverged at iteration {t}: non-finite values")
@@ -252,6 +278,7 @@ class DecodeDiagnostics:
     nmse_overall: float | None = None
     nmse_per_block: np.ndarray | None = None
     beta_soft: np.ndarray | None = None
+    stage_s: dict | None = None
 
 
 def decode(
@@ -305,6 +332,7 @@ def decode(
         diverged=diverged,
         clamped=state.clamped,
         beta_soft=state.beta,
+        stage_s=dict(state.stage_s),
     )
     if truth is not None:
         diag.ser = section_error_rate(decoded, truth, params.M)

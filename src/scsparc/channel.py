@@ -26,8 +26,10 @@ class ChannelParams:
     field: str = "real"
 
     def __post_init__(self):
-        if self.sigma2 <= 0 or self.P <= 0:
-            raise ValueError("sigma2 and P must be positive")
+        for name in ("sigma2", "P"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
 

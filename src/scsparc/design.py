@@ -17,6 +17,8 @@ dimensions throughout).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .params import BaseMatrix, SparcParams, is_power_of_2
@@ -169,12 +171,20 @@ class DftDesign(DesignOperator):
     Stored: `_rows` (nb, rows_per_block), one row per nonzero block in
     row-major order, and `_perm` and `_phases` (col_blocks, N), one row
     per column block; `_blocks[(r, c)]` holds views
-    `(rows_rc, perm_c, phases_c)` into them. A product runs one batched
-    FFT over the column blocks. `apply` gathers and
-    scales each block's rows and adds each row block's terms in block
-    order, as one FFT per block would, so its floats are the same. The
-    adjoint adds each block's scaled rows into its column's spectrum before
-    one inverse FFT per column, so it matches one FFT per block to rounding.
+    `(rows_rc, perm_c, phases_c)` into them.
+
+    A product runs one batched FFT over the column blocks. The index
+    arrays it needs (each block's row and column block, scale and flat
+    row indices, sorted into slots) are derived from `_blocks` on the
+    first product and again whenever `_blocks` is rebound to another dict.
+    `apply` gathers and scales every block's rows, then adds slot k, the
+    k-th block of every row block, at once for k = 0, 1, ...; each row
+    block thus adds its terms in block order, as one FFT per block would,
+    so its floats are the same. The adjoint adds slot k, the k-th block of
+    every column block, into the spectra the same way (a block's rows are
+    distinct, so a slot writes each entry once), runs one inverse FFT per
+    column and gathers through the permutation; it matches one FFT per
+    block to rounding.
     """
 
     kind = "dft_fast"
@@ -205,6 +215,7 @@ class DftDesign(DesignOperator):
             for i, (r, c) in enumerate(self._nonzero)
         }
         self._drawn_blocks = self._blocks
+        self._layout_of = None
 
     def _scale(self, r, c):
         # sqrt(W/L) * sqrt(N) absorbed: fft is the unnormalized DFT,
@@ -217,9 +228,14 @@ class DftDesign(DesignOperator):
         return self._scale(r, c) * F * phases[np.newaxis, :]
 
     def _layout(self):
-        """Row block `r`, column block `c`, scale and row subset of each
-        block in `_blocks` (dict order), and the permutation and phases of
-        each column block."""
+        """Index arrays of the products, derived from `_blocks` on first use
+        and again whenever `_blocks` is rebound to another dict."""
+        if self._layout_of is not self._blocks:
+            self._cached_layout = self._derive_layout()
+            self._layout_of = self._blocks
+        return self._cached_layout
+
+    def _derive_layout(self):
         r, c = np.array(list(self._blocks), dtype=np.intp).reshape(-1, 2).T
         if self._blocks is self._drawn_blocks:
             rows, perm, phases = self._rows, self._perm, self._phases
@@ -236,47 +252,98 @@ class DftDesign(DesignOperator):
             for col, (p, ph) in shared.items():
                 perm[col], phases[col] = p, ph
             rows = np.stack([block[0] for block in self._blocks.values()])
-        return r, c, self._scale(r, c), rows, perm, phases
+        # flat index of each block row in the (col_blocks * N) spectra
+        flat = rows + (c * self.cols_per_block)[:, np.newaxis]
+        scale = self._scale(r, c)
+        # apply adds slot k (the k-th block of every row block) at once, and
+        # the adjoint does the same per column block: the blocks of a slot
+        # write distinct entries, and each entry gets its terms in dict order
+        to_row, row_slots = _slots(r)
+        to_col, col_slots = _slots(c)
+        return _DftLayout(
+            perm=perm,
+            phases=phases,
+            row_flat=flat[to_row],
+            row_scale=scale[to_row][:, np.newaxis],
+            row_slots=[(lo, hi, r[to_row[lo:hi]]) for lo, hi in row_slots],
+            col_flat=flat[to_col],
+            col_r=r[to_col],
+            col_c=c[to_col],
+            col_scale=scale[to_col],
+            col_slots=col_slots,
+        )
 
     def apply(self, beta):
         self._check_apply_input(beta)
         N = self.cols_per_block
-        r, c, scale, rows, perm, phases = self._layout()
+        lay = self._layout()
         beta_blocks = beta.reshape(self.W.cols, N)
         buf = np.empty((self.W.cols, N), dtype=complex)
         vals = np.empty(N, dtype=complex)
         for col in range(self.W.cols):
-            np.multiply(phases[col], beta_blocks[col], out=vals)
-            buf[col, perm[col]] = vals
+            np.multiply(lay.phases[col], beta_blocks[col], out=vals)
+            buf[col][lay.perm[col]] = vals
         np.fft.fft(buf, out=buf)
-        g = buf.reshape(-1)[rows + (c * N)[:, np.newaxis]]
-        g *= scale[:, np.newaxis]
-        out = np.zeros(self.n_rows, dtype=complex)
-        # add.at adds the terms one at a time in dict order, as a loop would
-        np.add.at(out.reshape(self.W.rows, self.rows_per_block), r, g)
-        return out
+        g = buf.reshape(-1)[lay.row_flat]
+        g *= lay.row_scale
+        out = np.zeros((self.W.rows, self.rows_per_block), dtype=complex)
+        for lo, hi, r in lay.row_slots:
+            out[r] += g[lo:hi]
+        return out.reshape(-1)
 
     def apply_scaled_adjoint(self, S, z):
         self._check_adjoint_input(z)
         S = _check_scaling(S, (self.W.rows, self.W.cols))
         N = self.cols_per_block
-        r, c, scale, rows, perm, phases = self._layout()
+        lay = self._layout()
         z_blocks = z.reshape(self.W.rows, self.rows_per_block)
         # the spectra are built in the output itself: one array of this
         # size per call, not two, so the allocator keeps reusing its pages
         out = np.zeros(self.n_cols, dtype=complex)
         out_blocks = out.reshape(self.W.cols, N)
-        # add.at: row subsets from different draws of one column may overlap
-        np.add.at(
-            out,
-            rows + (c * N)[:, np.newaxis],
-            (S[r, c] * scale)[:, np.newaxis] * z_blocks[r],
-        )
+        terms = (S[lay.col_r, lay.col_c] * lay.col_scale)[:, np.newaxis] * z_blocks[lay.col_r]
+        for lo, hi in lay.col_slots:
+            out[lay.col_flat[lo:hi]] += terms[lo:hi]
         # unscaled inverse DFT: the conjugate-transpose of fft
         np.fft.ifft(out_blocks, norm="forward", out=out_blocks)
+        gathered = np.empty(N, dtype=complex)
+        conj = np.empty(N, dtype=complex)
         for col in range(self.W.cols):
-            out_blocks[col] = phases[col].conj() * out_blocks[col, perm[col]]
+            # perm is in range, so "wrap" only skips take's bounds check
+            np.take(out_blocks[col], lay.perm[col], out=gathered, mode="wrap")
+            np.conjugate(lay.phases[col], out=conj)
+            np.multiply(conj, gathered, out=out_blocks[col])
         return out
+
+
+@dataclass(frozen=True)
+class _DftLayout:
+    """What `DftDesign` products read, with the blocks in slot order:
+    `row_*` for `apply`, `col_*` for the adjoint."""
+
+    perm: np.ndarray
+    phases: np.ndarray
+    row_flat: np.ndarray
+    row_scale: np.ndarray
+    row_slots: list
+    col_flat: np.ndarray
+    col_r: np.ndarray
+    col_c: np.ndarray
+    col_scale: np.ndarray
+    col_slots: list
+
+
+def _slots(keys: np.ndarray) -> tuple[np.ndarray, list]:
+    """Sort blocks by slot, slot k holding the k-th block (in dict order)
+    of every key; within a slot, dict order. Returns the sorting index and
+    the (lo, hi) range of each slot in the sorted order."""
+    by_key = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys)
+    slot = np.empty(keys.size, dtype=np.intp)
+    slot[by_key] = np.arange(keys.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    order = np.argsort(slot, kind="stable")
+    bounds = np.searchsorted(slot[order], np.arange(slot.max() + 2))
+    return order, list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
 def build_gaussian_design(

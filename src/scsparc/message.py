@@ -76,6 +76,10 @@ def nmse(
     n_sections = int(truth.sum().real)  # one unit entry per section
     if n_sections % col_blocks != 0:
         raise ValueError("number of column blocks must divide L")
-    sq = np.abs(est - truth) ** 2
+    # |est - truth|^2 in place (a complex difference needs one real array)
+    sq = est - truth
+    if np.iscomplexobj(sq):
+        sq = np.abs(sq)
+    np.square(sq, out=sq)
     per_block = sq.reshape(col_blocks, -1).sum(axis=1) / (n_sections / col_blocks)
     return float(per_block.mean()), per_block

@@ -56,10 +56,17 @@ class SectionExpectation:
     The sample is stored centred: each row's maximum umax is kept apart
     and subtracted from the row, so b * (U_j - umax) <= 0 for b > 0 and
     the log interference sum b * umax + log sum_j exp(b * (U_j - umax))
-    never overflows (the sum is at least 1). Each call walks the sample in
-    fixed blocks of _ROW_BLOCK rows through buffers allocated once, so a
-    call allocates nothing sample-sized. The buffers make an instance
-    unsafe to call from two threads at once.
+    never overflows (the sum is at least 1).
+
+    A call takes one tau (and returns a float) or a 1-D array of taus (and
+    returns an array of the same length). It walks the sample once: fixed
+    blocks of _ROW_BLOCK rows on the outside and the taus on the inside,
+    so each block is read from cache for every tau after the first. Row
+    sums are products with a vector of ones, which BLAS computes faster
+    than a reduction. The work goes through buffers kept between calls
+    (the per-tau results grow with the largest batch seen), so a call
+    allocates nothing sample-sized once a batch of its size has been seen.
+    The buffers make an instance unsafe to call from two threads at once.
     """
 
     GH_NODES = 64
@@ -80,37 +87,56 @@ class SectionExpectation:
         self._gh_x = math.sqrt(2.0) * nodes
         self._gh_w = wts / math.sqrt(math.pi)
         rows = min(_ROW_BLOCK, n_samples)
+        self._ones = np.ones(M - 1)
         self._exp_buf = np.empty((rows, M - 1))
         self._gh_buf = np.empty((rows, self.GH_NODES))
-        self._log_s = np.empty(rows)
-        self._vals = np.empty(n_samples)
+        # rows (log_s, 1): see __call__
+        self._log_s1 = np.ones((2, rows))
+        # one row of per-sample values per tau of a call
+        self._vals = np.empty((1, n_samples))
 
-    def __call__(self, tau: float) -> float:
-        if not tau > 0:
-            raise ValueError(f"tau must be positive, got {tau}")
-        b = 1.0 / math.sqrt(tau)
+    def __call__(self, tau):
+        taus = np.asarray(tau, dtype=float)
+        if taus.ndim > 1:
+            raise ValueError("tau must be a number or a 1-D array")
+        taus = taus.reshape(-1)
+        bad = taus[~((taus > 0) & np.isfinite(taus))]
+        if bad.size:
+            raise ValueError(f"tau must be positive and finite, got {bad[0]}")
+        if self._vals.shape[0] < taus.size:
+            self._vals = np.empty((taus.size, self.n_samples))
+        b = 1.0 / np.sqrt(taus)
         # E = mean over samples and quadrature nodes of sigmoid(arg), with
-        # arg = 1/tau + x_k*b - log_s the log-odds of the true entry
-        node_shift = (1.0 / tau) + self._gh_x * b
+        # arg = 1/tau + x_k*b - log_s the log-odds of the true entry.
+        # -arg = (log_s, 1) @ (1, -node_shift): a product with exact terms,
+        # so each entry is the one rounded difference log_s - node_shift,
+        # without numpy's slow broadcasting loop
+        node_shift = (1.0 / taus)[:, np.newaxis] + self._gh_x * b[:, np.newaxis]
+        nodes = np.ones((taus.size, 2, self.GH_NODES))
+        np.negative(node_shift, out=nodes[:, 1])
         with np.errstate(over="ignore"):
             for lo in range(0, self.n_samples, _ROW_BLOCK):
                 hi = min(lo + _ROW_BLOCK, self.n_samples)
+                Uc, umax = self._Uc[lo:hi], self._umax[lo:hi]
                 e = self._exp_buf[: hi - lo]
-                log_s = self._log_s[: hi - lo]
+                log_s1 = self._log_s1[:, : hi - lo]
+                log_s = log_s1[0]
                 z = self._gh_buf[: hi - lo]
-                # log of the interference sum, per Monte Carlo sample
-                np.multiply(self._Uc[lo:hi], b, out=e)
-                np.exp(e, out=e)
-                np.sum(e, axis=1, out=log_s)
-                np.log(log_s, out=log_s)
-                log_s += b * self._umax[lo:hi]
-                # sigmoid(arg) = 1/(1 + exp(-arg)); exp overflow gives 0
-                np.subtract(log_s[:, np.newaxis], node_shift, out=z)
-                np.exp(z, out=z)
-                z += 1.0
-                np.reciprocal(z, out=z)
-                np.matmul(z, self._gh_w, out=self._vals[lo:hi])
-        return float(self._vals.mean())
+                for i in range(taus.size):
+                    # log of the interference sum, per Monte Carlo sample
+                    np.multiply(Uc, b[i], out=e)
+                    np.exp(e, out=e)
+                    np.matmul(e, self._ones, out=log_s)
+                    np.log(log_s, out=log_s)
+                    log_s += b[i] * umax
+                    # sigmoid(arg) = 1/(1 + exp(-arg)); exp overflow gives 0
+                    np.matmul(log_s1.T, nodes[i], out=z)
+                    np.exp(z, out=z)
+                    z += 1.0
+                    np.reciprocal(z, out=z)
+                    np.matmul(z, self._gh_w, out=self._vals[i, lo:hi])
+        E = np.array([self._vals[i].mean() for i in range(taus.size)])
+        return float(E[0]) if np.ndim(tau) == 0 else E
 
 
 def se_step(
@@ -126,6 +152,9 @@ def se_step(
     phi_r = sigma2 + (1/C) sum_c W_rc psi_c
     tau_c = (R/ln M) * [(1/R_blocks) sum_r W_rc/phi_r]^{-1}
     psi_next_c = 1 - E(tau_c)
+
+    E is called once per step, on the distinct taus: columns whose taus
+    agree to 12 significant digits share the value at the first of them.
     """
     psi = np.asarray(psi, dtype=float)
     if np.any((psi < 0) | (psi > 1)):
@@ -136,13 +165,18 @@ def se_step(
     if np.any(col_info <= 0):
         raise ZeroDivisionError("a base-matrix column is identically zero")
     tau = (R / math.log(M)) / col_info
-    # tau values repeat across symmetric columns; evaluate each one once
-    psi_next = np.empty(W.cols)
-    cache: dict[float, float] = {}
+    # mirror columns get taus that differ by about 1 ulp: evaluate the
+    # first tau seen for each 12-significant-digit key, all in one call
+    slot_of: dict[str, int] = {}
+    distinct = []
+    slots = np.empty(W.cols, dtype=np.intp)
     for c, t in enumerate(tau):
-        if t not in cache:
-            cache[t] = 1.0 - expectation(t)
-        psi_next[c] = cache[t]
+        key = f"{t:.11e}"
+        if key not in slot_of:
+            slot_of[key] = len(distinct)
+            distinct.append(t)
+        slots[c] = slot_of[key]
+    psi_next = 1.0 - expectation(np.array(distinct))[slots]
     return phi, tau, np.clip(psi_next, 0.0, 1.0)
 
 

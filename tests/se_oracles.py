@@ -2,7 +2,7 @@
 
 `LogsumexpSectionExpectation` is the straightforward form of
 `scsparc.state_evolution.SectionExpectation`: it draws the same sample for
-the same (M, n_samples, seed) and evaluates each tau with
+the same (M, n_samples, seed) and evaluates each tau, one at a time, with
 `scipy.special.logsumexp` over the full sample matrix and a sign-split
 sigmoid. `mc_expectation_E` is the plain Monte-Carlo estimator with no
 quadrature, for checks against an independent estimator.
@@ -34,7 +34,13 @@ class LogsumexpSectionExpectation:
         self._gh_x = math.sqrt(2.0) * nodes
         self._gh_w = wts / math.sqrt(math.pi)
 
-    def __call__(self, tau: float) -> float:
+    def __call__(self, tau):
+        """E at one tau, or at each entry of a 1-D array of taus."""
+        if np.ndim(tau) == 1:
+            return np.array([self._one(t) for t in tau])
+        return self._one(tau)
+
+    def _one(self, tau: float) -> float:
         if tau <= 0:
             raise ValueError(f"tau must be positive, got {tau}")
         b = 1.0 / math.sqrt(tau)

@@ -2,11 +2,13 @@
 straight-line dense reference, stopping, and end-to-end decoding."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from scsparc.amp import (
+    STAGES,
     AmpConfig,
     DecoderState,
     OfflineSeSource,
@@ -56,6 +58,11 @@ def test_eta_denoise_properties():
     assert np.allclose(out, out_c)
     with pytest.raises(ValueError):
         eta_denoise(s, np.array([0.0, 1.0]), 4, 2)
+    for bad in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(ValueError, match="tau"):
+            eta_denoise(np.ones(8), np.array([bad]), 4, 1)
+        with pytest.raises(ValueError, match="tau"):
+            eta_denoise(s, np.array([1.0, bad]), 4, 2)
 
 
 def test_online_estimates_at_start():
@@ -259,3 +266,38 @@ def test_online_source_rejects_a_bad_known_noise_variance(sigma2_known):
     params, base, *_ = small_setup()
     with pytest.raises(ValueError, match="sigma2_known"):
         OnlineSeSource(base, params, sigma2_known)
+
+
+def test_decode_reports_time_per_stage():
+    params, base, op, beta, y = small_setup(seed=5)
+    start = time.perf_counter()
+    _, diag = decode(op, y, OnlineSeSource(base, params, None), AmpConfig(t_max=6), truth=beta)
+    elapsed = time.perf_counter() - start
+    assert diag.iterations >= 2
+    assert tuple(diag.stage_s) == STAGES == ("residual", "adjoint", "denoise", "se_update")
+    assert all(v > 0 for v in diag.stage_s.values())
+    assert sum(diag.stage_s.values()) <= elapsed
+    # a decode's times are its own, not carried over from an earlier one
+    _, again = decode(op, y, OnlineSeSource(base, params, None), AmpConfig(t_max=1), truth=beta)
+    assert again.iterations == 1
+    assert sum(again.stage_s.values()) < sum(diag.stage_s.values())
+
+
+def test_amp_iterate_adds_the_real_part_of_the_adjoint():
+    # s = beta + (S ⊙ A)* z, of which the denoiser reads the real part:
+    # beta^{t+1} is bit-identical to denoising the full complex sum
+    base = build_base_matrix(CouplingParams(2, 4), 1.0)
+    params = SparcParams(n=40, M=4, L=8, base=base, P=1.0, sigma2=1.0 / 20)
+    op = build_dft_design(params, base, seed=3)
+    ch = ChannelParams(params.sigma2, params.P, field="complex")
+    y = transmit(op.apply(random_message(4, 8, seed=4)), ch, seed=5)
+    se = OnlineSeSource(base, params, params.sigma2)
+    state = DecoderState.initial(op)
+    for _ in range(3):
+        beta_t = state.beta
+        amp_iterate(state, op, y, se)
+    tau_c, phi_r = state.tau_trace[-1], state.phi_trace[-1]
+    S = 2.0 * tau_c[np.newaxis, :] / phi_r[:, np.newaxis]
+    s = beta_t + op.apply_scaled_adjoint(S, state.z)
+    assert np.iscomplexobj(s)
+    assert np.array_equal(state.beta, eta_denoise(s, tau_c, params.M, base.cols))

@@ -56,5 +56,10 @@ def test_ebn0():
 def test_channel_validation():
     with pytest.raises(ValueError):
         ChannelParams(sigma2=0.0, P=1.0)
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="sigma2 must"):
+            ChannelParams(sigma2=bad, P=1.0)
+        with pytest.raises(ValueError, match="P must"):
+            ChannelParams(sigma2=1.0, P=bad)
     with pytest.raises(ValueError):
         ChannelParams(sigma2=1.0, P=1.0, field="ternary")

@@ -343,6 +343,46 @@ def test_dft_products_read_a_rebound_block_dict():
     assert gaps[1] > 1e-3
 
 
+@pytest.mark.parametrize("shape", [(3, 5, 0.0), (2, 4, 0.25)], ids=lambda s: f"{DFT_SHAPES[s]}blocks")
+def test_dft_products_follow_a_rebound_and_restored_block_dict(shape):
+    # the products cache their index layout per `_blocks` dict
+    params, W = dft_params(*shape)
+    rng = np.random.default_rng(8)
+    op = build_dft_design(params, W, seed=2)
+    beta = rng.standard_normal(op.n_cols) + 1j * rng.standard_normal(op.n_cols)
+    z = rng.standard_normal(op.n_rows) + 1j * rng.standard_normal(op.n_rows)
+    S = rng.uniform(0.1, 3.0, size=(W.rows, W.cols))
+    plain = op.apply(beta), op.apply_scaled_adjoint(S, z)
+    saved = op._blocks
+    op._blocks = {k: (rows, perm, ph.conj()) for k, (rows, perm, ph) in saved.items()}
+    flipped = op.apply(beta), op.apply_scaled_adjoint(S, z)
+    assert np.array_equal(flipped[0], reference_apply(op, beta))
+    ref = reference_scaled_adjoint(op, S, z)
+    assert np.linalg.norm(flipped[1] - ref) <= 1e-15 * np.linalg.norm(ref)
+    assert not np.allclose(flipped[0], plain[0])
+    assert not np.allclose(flipped[1], plain[1])
+    op._blocks = saved
+    assert np.array_equal(op.apply(beta), plain[0])
+    assert np.array_equal(op.apply_scaled_adjoint(S, z), plain[1])
+
+
+@pytest.mark.parametrize("shape", list(DFT_SHAPES), ids=lambda s: f"{DFT_SHAPES[s]}blocks")
+def test_dft_products_are_repeatable(shape):
+    # nothing of one call (buffers, cached layout) leaks into the next
+    params, W = dft_params(*shape)
+    rng = np.random.default_rng(9)
+    op = build_dft_design(params, W, seed=1)
+    a, b = rng.standard_normal((2, op.n_cols))
+    first = op.apply(a)
+    op.apply(b)
+    assert np.array_equal(op.apply(a), first)
+    za, zb = rng.standard_normal((2, op.n_rows)) + 1j * rng.standard_normal((2, op.n_rows))
+    Sa, Sb = rng.uniform(0.1, 3.0, size=(2, W.rows, W.cols))
+    first = op.apply_scaled_adjoint(Sa, za)
+    op.apply_scaled_adjoint(Sb, zb)
+    assert np.array_equal(op.apply_scaled_adjoint(Sa, za), first)
+
+
 def test_dft_memory_at_offline_sweep_size():
     # M=128, L=1024, omega=6, Lambda=32, 1.5 bits: 192 blocks of 4096 columns
     params = derive_code_params(

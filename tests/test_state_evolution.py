@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from scsparc import state_evolution
 from scsparc.harness import ExperimentConfig
-from scsparc.params import LN2, CouplingParams, build_base_matrix, derive_code_params
+from scsparc.params import LN2, BaseMatrix, CouplingParams, build_base_matrix, derive_code_params
 from scsparc.state_evolution import (
     SectionExpectation,
     asymptotic_se,
@@ -186,6 +186,8 @@ def test_expectation_validation():
     with pytest.raises(ValueError):
         SectionExpectation(4, 100)(float("nan"))
     with pytest.raises(ValueError):
+        SectionExpectation(4, 100)(np.ones((2, 2)))
+    with pytest.raises(ValueError):
         mc_expectation_E(-1.0, 4)
 
 
@@ -204,6 +206,81 @@ def test_expectation_buffers_do_not_leak_between_calls():
     first = exp(0.3)
     exp(4.0)
     assert exp(0.3) == first
+    # batched and scalar calls share the buffers; a longer batch grows them
+    batch = np.array([2.0, 0.3, 0.01])
+    out = exp(batch)
+    assert exp(0.3) == first
+    exp(np.geomspace(0.01, 9.0, 12))
+    assert np.array_equal(exp(batch), out)
+    assert exp(0.3) == first
+
+
+@pytest.mark.parametrize("M", [2, 16, 128, 512])
+def test_batched_expectation_matches_per_tau_calls(M):
+    # one pass over the sample for all taus; duplicates included
+    taus = np.array([0.4, 1e-3, 7.0, 0.4, 0.05, 1e-3, 2.5, 0.4])
+    exp = SectionExpectation(M, 1000, seed=2)
+    batched = exp(taus)
+    assert isinstance(batched, np.ndarray) and batched.shape == taus.shape
+    per_tau = np.array([exp(t) for t in taus])
+    assert all(isinstance(exp(t), float) for t in taus[:2])
+    np.testing.assert_allclose(batched, per_tau, rtol=0, atol=1e-15)
+    assert batched[0] == batched[3] == batched[7]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_batched_expectation_rejects_one_bad_tau(bad, where):
+    taus = np.array([0.3, 1.0, 2.0, 0.1, 0.7])
+    taus[where] = bad
+    with pytest.raises(ValueError, match="tau"):
+        SectionExpectation(8, 300, seed=0)(taus)
+
+
+class CountingExpectation(SectionExpectation):
+    """Records every tau it is asked to evaluate."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def __call__(self, tau):
+        self.calls.append(np.atleast_1d(np.asarray(tau, dtype=float)).copy())
+        return super().__call__(tau)
+
+
+def test_se_step_evaluates_mirror_columns_once():
+    params = derive_code_params(1.5 * LN2, 128, CouplingParams(6, 32), 1024, 1.0, 1 / 15)
+    W = params.base
+    exp = CountingExpectation(params.M, 500, seed=1)
+    # a mid-wave psi, symmetric about the centre like SE's own
+    psi = np.minimum(1.0, np.abs(np.arange(W.cols) - (W.cols - 1) / 2) / 8)
+    _, tau, psi_next = se_step(W, psi, params.sigma2, params.R, params.M, exp)
+    assert len(exp.calls) == 1  # one pass over the sample per step
+    (evaluated,) = exp.calls
+    keys = {f"{t:.11e}" for t in tau}
+    assert len(evaluated) == len(keys) <= W.cols // 2 + 1
+    # mirror taus may differ in the last digits, yet share one evaluation
+    mirror = tau[::-1]
+    assert np.any(tau != mirror)
+    np.testing.assert_allclose(tau, mirror, rtol=1e-12)
+    assert np.array_equal(psi_next, psi_next[::-1])
+    for t in evaluated:  # the first exact tau of each key
+        assert t == tau[[f"{u:.11e}" for u in tau].index(f"{t:.11e}")]
+
+
+def test_se_step_separates_taus_beyond_twelve_digits():
+    # tau_c is proportional to 1/W_c on one row: columns 0 and 1 differ by
+    # one ulp, columns 2 and 3 by 1e-10 and 1e-11 relative (tens and a few
+    # units of the 12th significant digit)
+    row = np.array([1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-10, 1.0 + 1e-11])
+    W = BaseMatrix(entries=row[np.newaxis, :], avg_power=float(row.mean()))
+    exp = CountingExpectation(4, 200, seed=0)
+    _, tau, psi_next = se_step(W, np.ones(4), 0.1, 0.5, 4, exp)
+    assert len(set(tau.tolist())) == 4
+    assert np.array_equal(exp.calls[0], tau[[0, 2, 3]])
+    assert psi_next[0] == psi_next[1]
+    assert len(set(psi_next[[0, 2, 3]].tolist())) == 3
 
 
 def test_run_se_matches_logsumexp_oracle(monkeypatch):

@@ -10,7 +10,7 @@ from .amp import (
     decode,
     eta_denoise,
 )
-from .channel import ChannelParams, ebn0_db, snr_from_db, snr_to_db, transmit
+from .channel import ChannelParams, ebn0_db, snr_from_db, transmit
 from .cs_amp import (
     BgBayesDenoiser,
     CsModel,
@@ -35,7 +35,6 @@ from .params import (
     CouplingParams,
     SparcParams,
     build_base_matrix,
-    channel_capacity,
     derive_code_params,
 )
 from .state_evolution import (

@@ -92,34 +92,30 @@ class SeSource:
 
 
 class OfflineSeSource(SeSource):
-    """Precomputed state-evolution trajectory; clamps past the last step.
+    """Precomputed state-evolution trajectory, then its fixed point.
 
     The trajectory's phi/tau lists stop one step short of its final psi
-    (the psi that triggered convergence never gets a phi of its own). When
-    W and params are given, iterations past the schedule use the fixed
-    point implied by that final psi instead of the mid-collapse last row,
-    which gives the decoder a sharp enough denoiser to finish cleanly.
+    (the psi that triggered convergence never gets a phi of its own).
+    Iterations past the schedule use the fixed point implied by that final
+    psi instead of the mid-collapse last row, which gives the decoder a
+    sharp enough denoiser to finish cleanly.
     """
 
-    def __init__(self, traj: SeTrajectory, W: BaseMatrix | None = None,
-                 params: SparcParams | None = None):
+    def __init__(self, traj: SeTrajectory, W: BaseMatrix, params: SparcParams):
         if traj.iterations < 1:
             raise ValueError("trajectory has no iterations")
         self.traj = traj
-        self._tail = None
-        if W is not None and params is not None:
-            Wm = W.entries
-            sigma_r = Wm @ traj.psi[-1] / W.cols
-            phi_r = params.sigma2 + sigma_r
-            col_info = (Wm / phi_r[:, np.newaxis]).mean(axis=0)
-            tau_c = (params.L / params.n) / col_info
-            self._tail = (sigma_r, phi_r, tau_c)
+        Wm = W.entries
+        sigma_r = Wm @ traj.psi[-1] / W.cols
+        phi_r = params.sigma2 + sigma_r
+        col_info = (Wm / phi_r[:, np.newaxis]).mean(axis=0)
+        tau_c = (params.L / params.n) / col_info
+        self._tail = (sigma_r, phi_r, tau_c)
 
     def values(self, t, state, op):
-        if t >= self.traj.iterations and self._tail is not None:
+        if t >= self.traj.iterations:
             return self._tail
-        i = min(t, self.traj.iterations - 1)
-        return self.traj.sigma[i], self.traj.phi[i], self.traj.tau[i]
+        return self.traj.sigma[t], self.traj.phi[t], self.traj.tau[t]
 
 
 class OnlineSeSource(SeSource):

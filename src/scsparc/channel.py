@@ -9,7 +9,7 @@ import numpy as np
 
 from .params import LN2
 
-__all__ = ["ChannelParams", "transmit", "ebn0_db", "snr_from_db", "snr_to_db"]
+__all__ = ["ChannelParams", "transmit", "ebn0_db", "snr_from_db"]
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,3 @@ def ebn0_db(R: float, snr: float, field: str = "real") -> float:
 
 def snr_from_db(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
-
-
-def snr_to_db(snr: float) -> float:
-    return 10.0 * math.log10(snr)

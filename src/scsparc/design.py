@@ -17,8 +17,6 @@ dimensions throughout).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .params import BaseMatrix, SparcParams, is_power_of_2
@@ -173,18 +171,16 @@ class DftDesign(DesignOperator):
     per column block; `_blocks[(r, c)]` holds views
     `(rows_rc, perm_c, phases_c)` into them.
 
-    A product runs one batched FFT over the column blocks. The index
-    arrays it needs (each block's row and column block, scale and flat
-    row indices, sorted into slots) are derived from `_blocks` on the
-    first product and again whenever `_blocks` is rebound to another dict.
-    `apply` gathers and scales every block's rows, then adds slot k, the
-    k-th block of every row block, at once for k = 0, 1, ...; each row
-    block thus adds its terms in block order, as one FFT per block would,
-    so its floats are the same. The adjoint adds slot k, the k-th block of
-    every column block, into the spectra the same way (a block's rows are
-    distinct, so a slot writes each entry once), runs one inverse FFT per
-    column and gathers through the permutation; it matches one FFT per
-    block to rounding.
+    A product runs one batched FFT over the column blocks. It reads each
+    column's permutation and phases from one of that column's blocks in
+    `_blocks`, so a subclass that rebinds `_blocks` changes them; the
+    block rows come from `_rows`. `apply` gathers and scales every block's
+    rows and adds them into the output with one `np.add.at` in row-major
+    block order, so each output entry gets its terms in block order, as
+    one FFT per block would, and its floats are the same. The adjoint adds
+    every block's scaled rows into the spectra with one `np.add.at`, runs
+    one inverse FFT per column and gathers through the permutation; it
+    matches one FFT per block to rounding.
     """
 
     kind = "dft_fast"
@@ -214,8 +210,9 @@ class DftDesign(DesignOperator):
             (r, c): (self._rows[i], self._perm[c], self._phases[c])
             for i, (r, c) in enumerate(self._nonzero)
         }
-        self._drawn_blocks = self._blocks
-        self._layout_of = None
+        # the key of one block of each column block that has any
+        self._column_key = {c: (r, c) for r, c in self._nonzero}
+        self._index = None
 
     def _scale(self, r, c):
         # sqrt(W/L) * sqrt(N) absorbed: fft is the unnormalized DFT,
@@ -227,123 +224,65 @@ class DftDesign(DesignOperator):
         F = np.exp(-2j * np.pi * np.outer(rows, perm).astype(float) / self.cols_per_block)
         return self._scale(r, c) * F * phases[np.newaxis, :]
 
-    def _layout(self):
-        """Index arrays of the products, derived from `_blocks` on first use
-        and again whenever `_blocks` is rebound to another dict."""
-        if self._layout_of is not self._blocks:
-            self._cached_layout = self._derive_layout()
-            self._layout_of = self._blocks
-        return self._cached_layout
-
-    def _derive_layout(self):
-        r, c = np.array(list(self._blocks), dtype=np.intp).reshape(-1, 2).T
-        if self._blocks is self._drawn_blocks:
-            rows, perm, phases = self._rows, self._perm, self._phases
-        else:
-            # `_blocks` was rebound after construction: use what it holds
-            shared: dict = {}
-            for (_, col), (_, p, ph) in self._blocks.items():
-                p0, ph0 = shared.setdefault(col, (p, ph))
-                if not (np.array_equal(p, p0) and np.array_equal(ph, ph0)):
-                    raise ValueError(
-                        f"blocks of column block {col} disagree on their permutation or phases"
-                    )
-            perm, phases = self._perm.copy(), self._phases.copy()
-            for col, (p, ph) in shared.items():
-                perm[col], phases[col] = p, ph
-            rows = np.stack([block[0] for block in self._blocks.values()])
-        # flat index of each block row in the (col_blocks * N) spectra
-        flat = rows + (c * self.cols_per_block)[:, np.newaxis]
-        scale = self._scale(r, c)
-        # apply adds slot k (the k-th block of every row block) at once, and
-        # the adjoint does the same per column block: the blocks of a slot
-        # write distinct entries, and each entry gets its terms in dict order
-        to_row, row_slots = _slots(r)
-        to_col, col_slots = _slots(c)
-        return _DftLayout(
-            perm=perm,
-            phases=phases,
-            row_flat=flat[to_row],
-            row_scale=scale[to_row][:, np.newaxis],
-            row_slots=[(lo, hi, r[to_row[lo:hi]]) for lo, hi in row_slots],
-            col_flat=flat[to_col],
-            col_r=r[to_col],
-            col_c=c[to_col],
-            col_scale=scale[to_col],
-            col_slots=col_slots,
-        )
+    def _block_index(self):
+        """Row block, column block and scale of each block in row-major
+        order, and the flat indices of the block rows, in that order, in
+        the output and in the stacked spectra. Built on the first product:
+        in the constructor they would raise its peak memory above the
+        stored arrays."""
+        if self._index is None:
+            r, c = np.array(self._nonzero, dtype=np.intp).reshape(-1, 2).T
+            nr, N = self.rows_per_block, self.cols_per_block
+            # 1-D, because np.add.at runs its fast loop only for a 1-D index
+            out_flat = ((r * nr)[:, np.newaxis] + np.arange(nr)).reshape(-1)
+            spec_flat = (self._rows + (c * N)[:, np.newaxis]).reshape(-1)
+            self._index = r, c, self._scale(r, c)[:, np.newaxis], out_flat, spec_flat
+        return self._index
 
     def apply(self, beta):
         self._check_apply_input(beta)
         N = self.cols_per_block
-        lay = self._layout()
+        _, _, scale, out_flat, spec_flat = self._block_index()
         beta_blocks = beta.reshape(self.W.cols, N)
+        # the spectrum of a column without blocks is left unset: no block reads it
         buf = np.empty((self.W.cols, N), dtype=complex)
         vals = np.empty(N, dtype=complex)
-        for col in range(self.W.cols):
-            np.multiply(lay.phases[col], beta_blocks[col], out=vals)
-            buf[col][lay.perm[col]] = vals
+        for col, key in self._column_key.items():
+            _, perm, phases = self._blocks[key]
+            np.multiply(phases, beta_blocks[col], out=vals)
+            buf[col][perm] = vals
         np.fft.fft(buf, out=buf)
-        g = buf.reshape(-1)[lay.row_flat]
-        g *= lay.row_scale
-        out = np.zeros((self.W.rows, self.rows_per_block), dtype=complex)
-        for lo, hi, r in lay.row_slots:
-            out[r] += g[lo:hi]
-        return out.reshape(-1)
+        g = buf.reshape(-1)[spec_flat].reshape(-1, self.rows_per_block)
+        g *= scale
+        out = np.zeros(self.n_rows, dtype=complex)
+        # add.at adds the terms one at a time in block order, as a loop would
+        np.add.at(out, out_flat, g.reshape(-1))
+        return out
 
     def apply_scaled_adjoint(self, S, z):
         self._check_adjoint_input(z)
         S = _check_scaling(S, (self.W.rows, self.W.cols))
         N = self.cols_per_block
-        lay = self._layout()
+        r, c, scale, _, spec_flat = self._block_index()
         z_blocks = z.reshape(self.W.rows, self.rows_per_block)
         # the spectra are built in the output itself: one array of this
         # size per call, not two, so the allocator keeps reusing its pages
         out = np.zeros(self.n_cols, dtype=complex)
         out_blocks = out.reshape(self.W.cols, N)
-        terms = (S[lay.col_r, lay.col_c] * lay.col_scale)[:, np.newaxis] * z_blocks[lay.col_r]
-        for lo, hi in lay.col_slots:
-            out[lay.col_flat[lo:hi]] += terms[lo:hi]
+        terms = (S[r, c][:, np.newaxis] * scale) * z_blocks[r]
+        # add.at: row subsets from different draws of one column may overlap
+        np.add.at(out, spec_flat, terms.reshape(-1))
         # unscaled inverse DFT: the conjugate-transpose of fft
         np.fft.ifft(out_blocks, norm="forward", out=out_blocks)
         gathered = np.empty(N, dtype=complex)
         conj = np.empty(N, dtype=complex)
-        for col in range(self.W.cols):
+        for col, key in self._column_key.items():
+            _, perm, phases = self._blocks[key]
             # perm is in range, so "wrap" only skips take's bounds check
-            np.take(out_blocks[col], lay.perm[col], out=gathered, mode="wrap")
-            np.conjugate(lay.phases[col], out=conj)
+            np.take(out_blocks[col], perm, out=gathered, mode="wrap")
+            np.conjugate(phases, out=conj)
             np.multiply(conj, gathered, out=out_blocks[col])
         return out
-
-
-@dataclass(frozen=True)
-class _DftLayout:
-    """What `DftDesign` products read, with the blocks in slot order:
-    `row_*` for `apply`, `col_*` for the adjoint."""
-
-    perm: np.ndarray
-    phases: np.ndarray
-    row_flat: np.ndarray
-    row_scale: np.ndarray
-    row_slots: list
-    col_flat: np.ndarray
-    col_r: np.ndarray
-    col_c: np.ndarray
-    col_scale: np.ndarray
-    col_slots: list
-
-
-def _slots(keys: np.ndarray) -> tuple[np.ndarray, list]:
-    """Sort blocks by slot, slot k holding the k-th block (in dict order)
-    of every key; within a slot, dict order. Returns the sorting index and
-    the (lo, hi) range of each slot in the sorted order."""
-    by_key = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys)
-    slot = np.empty(keys.size, dtype=np.intp)
-    slot[by_key] = np.arange(keys.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    order = np.argsort(slot, kind="stable")
-    bounds = np.searchsorted(slot[order], np.arange(slot.max() + 2))
-    return order, list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
 def build_gaussian_design(

@@ -21,7 +21,7 @@ import yaml
 from .amp import AmpConfig, OfflineSeSource, OnlineSeSource, decode
 from .channel import ChannelParams, ebn0_db, snr_from_db, transmit
 from .design import build_dft_design, build_gaussian_design
-from .message import random_message
+from .message import nmse, random_message, section_error_rate
 from .params import LN2, CouplingParams, build_base_matrix, derive_code_params
 from .state_evolution import SeTrajectory, run_se
 
@@ -206,15 +206,16 @@ def run_trial(
     amp_cfg = AmpConfig(
         t_max=cfg.t_max, stop_tol=cfg.stop_tol, stop_window=cfg.stop_window
     )
-    _, diag = decode(op, y, se, amp_cfg, truth=beta)
+    # decode computes the per-iteration NMSE only when it is kept
+    decoded, diag = decode(op, y, se, amp_cfg, truth=beta if keep_progression else None)
     return TrialResult(
         trial=trial,
-        ser=diag.ser,
-        nmse=diag.nmse_overall,
+        ser=section_error_rate(decoded, beta, params.M),
+        nmse=nmse(diag.beta_soft, beta, W.cols)[0],
         iterations=diag.iterations,
         stop_reason=diag.stop_reason,
         diverged=diag.diverged,
-        nmse_per_block=diag.nmse_per_block if keep_progression else None,
+        nmse_per_block=diag.nmse_per_block,
     )
 
 

@@ -53,7 +53,7 @@ def hard_decision(est: np.ndarray, M: int) -> np.ndarray:
 
 
 def section_error_rate(decoded: np.ndarray, truth: np.ndarray, M: int) -> float:
-    """Fraction of sections where decoded and truth disagree."""
+    """Fraction of sections where decoded and truth differ."""
     if decoded.shape != truth.shape:
         raise ValueError("decoded and truth must have the same shape")
     if decoded.size % M != 0:

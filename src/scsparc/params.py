@@ -20,7 +20,6 @@ __all__ = [
     "SparcParams",
     "build_base_matrix",
     "derive_code_params",
-    "channel_capacity",
     "is_power_of_2",
 ]
 
@@ -212,10 +211,3 @@ def derive_code_params(
         raise ValueError("target rate too large: rounded code length is zero")
     base = build_base_matrix(coupling, P)
     return SparcParams(n=n, M=M, L=L, base=base, P=P, sigma2=sigma2)
-
-
-def channel_capacity(snr: float) -> float:
-    """AWGN capacity (1/2)*ln(1+snr), in nats per real dimension."""
-    if snr <= 0:
-        raise ValueError(f"snr must be positive, got {snr}")
-    return 0.5 * math.log1p(snr)

@@ -214,24 +214,38 @@ def test_criterion_04_power_constraint():
     assert rel < 0.02
 
 
+def feasible_wave_configs(count, batch=10**6):
+    """(omega, Lambda, snr, R, report) of the first `count` random configs,
+    in draw order, that progression_report marks feasible.
+
+    Seed 42; each batch draws omega, Lambda, snr and the rate fraction as
+    arrays. Only a few draws in 10^6 are feasible, so only those that pass
+    progression_report's test (omega > omega_min), evaluated on the arrays
+    with a margin for rounding, go to progression_report itself."""
+    rng = np.random.default_rng(42)
+    found = []
+    while len(found) < count:
+        omega = rng.integers(4, 10, size=batch)
+        Lambda = rng.integers(2 * omega - 1, 6 * omega)
+        snr = rng.uniform(4.0, 20.0, size=batch)
+        # rate between half and ~90% of the coupled capacity expression
+        vt = 1 + (omega - 1) / Lambda
+        cap = 0.5 / vt * np.log1p(vt * snr)
+        R = rng.uniform(0.5, 0.9, size=batch) * cap
+        omega_min = vt * snr**2 / (1.0 + vt * snr) / (cap - R)
+        for i in np.flatnonzero(omega > 0.999 * omega_min):
+            o, lam, s, r = int(omega[i]), int(Lambda[i]), float(snr[i]), float(R[i])
+            rep = progression_report(R=r, snr=s, omega=o, Lambda=lam, M=512)
+            if rep.feasible:
+                found.append((o, lam, s, r, rep))
+    return found[:count]
+
+
 def test_criterion_05_asymptotic_wave():
     """Asymptotic SE: >= floor(g) new blocks decoded per end per iteration,
     termination within ceil(Lambda/(2g)); 10 randomized feasible configs."""
-    rng = np.random.default_rng(42)
-    checked = 0
     violations = []
-    while checked < 10:
-        omega = int(rng.integers(4, 10))
-        Lambda = int(rng.integers(2 * omega - 1, 6 * omega))
-        snr = float(rng.uniform(4.0, 20.0))
-        # rate between half and ~90% of the coupled capacity expression
-        vt = 1 + (omega - 1) / Lambda
-        cap = 0.5 / vt * math.log1p(vt * snr)
-        R = float(rng.uniform(0.5, 0.9)) * cap
-        rep = progression_report(R=R, snr=snr, omega=omega, Lambda=Lambda, M=512)
-        if not rep.feasible:
-            continue
-        checked += 1
+    for omega, Lambda, snr, R, rep in feasible_wave_configs(10):
         W = build_base_matrix(CouplingParams(omega, Lambda), 1.0)
         hist = asymptotic_se(W, R=R, sigma2=1.0 / snr)
         g_floor = math.floor(rep.g)

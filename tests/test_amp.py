@@ -137,7 +137,7 @@ def test_noiseless_single_block_decodes_fast():
 def test_decode_offline_matches_trajectory_source():
     params, base, op, beta, y = small_setup(M=8, L=16, n=120, seed=5)
     traj = run_se(base, params, t_max=8, mc_samples=2000, seed=0)
-    se = OfflineSeSource(traj)
+    se = OfflineSeSource(traj, base, params)
     decoded, diag = decode(op, y, se, AmpConfig(t_max=8), truth=beta)
     assert diag.iterations >= 1
     assert diag.phi_trace.shape[1] == base.rows

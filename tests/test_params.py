@@ -1,4 +1,4 @@
-"""Base-matrix construction, code sizing, and capacity formulas."""
+"""Base-matrix construction and code sizing."""
 
 import math
 
@@ -9,7 +9,6 @@ from scsparc.params import (
     LN2,
     CouplingParams,
     build_base_matrix,
-    channel_capacity,
     derive_code_params,
     is_power_of_2,
 )
@@ -121,14 +120,6 @@ def test_code_sizing_errors():
         derive_code_params(1.0, 8, CouplingParams(2, 4), 33, 1.0, 0.5)  # L % Lambda
     with pytest.raises(ValueError):
         derive_code_params(1e9, 8, CouplingParams(2, 4), 32, 1.0, 0.5)  # n rounds to 0
-
-
-def test_channel_capacity():
-    assert math.isclose(channel_capacity(3.0), math.log(2))
-    assert math.isclose(channel_capacity(15.0), 2 * math.log(2))
-    assert math.isclose(channel_capacity(1.0), 0.5 * math.log(2))
-    with pytest.raises(ValueError):
-        channel_capacity(0.0)
 
 
 def test_is_power_of_2():

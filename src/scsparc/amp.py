@@ -23,17 +23,15 @@ import numpy as np
 from .design import DesignOperator
 from .message import hard_decision, nmse, section_error_rate
 from .params import BaseMatrix, SparcParams
-from .state_evolution import SeTrajectory
+from .state_evolution import SeTrajectory, column_tau
 
 __all__ = [
     "AmpConfig",
     "DecoderState",
     "DecodeDiagnostics",
-    "SeSource",
     "OfflineSeSource",
     "OnlineSeSource",
     "eta_denoise",
-    "online_se_update",
     "amp_iterate",
     "should_stop",
     "decode",
@@ -65,8 +63,6 @@ class DecoderState:
     t: int
     beta: np.ndarray
     z: np.ndarray | None
-    z_prev: np.ndarray | None
-    phi_prev: np.ndarray | None
     phi_trace: list = field(default_factory=list)
     tau_trace: list = field(default_factory=list)
     clamped: bool = False
@@ -75,55 +71,45 @@ class DecoderState:
 
     @classmethod
     def initial(cls, op: DesignOperator) -> "DecoderState":
-        return cls(
-            t=0,
-            beta=np.zeros(op.n_cols),
-            z=None,
-            z_prev=None,
-            phi_prev=None,
-        )
+        return cls(t=0, beta=np.zeros(op.n_cols), z=None)
 
 
-class SeSource:
-    """Provides (sigma_r, phi_r, tau_c) for iteration t."""
+class OfflineSeSource:
+    """(sigma_r, phi_r, tau_c) for iteration t from a precomputed
+    state-evolution trajectory, then from its fixed point.
 
-    def values(self, t: int, state: DecoderState, op: DesignOperator):
-        raise NotImplementedError
-
-
-class OfflineSeSource(SeSource):
-    """Precomputed state-evolution trajectory, then its fixed point.
-
-    The trajectory's phi/tau lists stop one step short of its final psi
-    (the psi that triggered convergence never gets a phi of its own).
-    Iterations past the schedule use the fixed point implied by that final
-    psi instead of the mid-collapse last row, which gives the decoder a
-    sharp enough denoiser to finish cleanly.
+    For t below the trajectory's length it returns (phi[t] - sigma2,
+    phi[t], tau[t]). The trajectory's phi/tau rows stop one step short of
+    its final psi (the psi that triggered convergence never gets a phi of
+    its own). Iterations past the schedule use the fixed point implied by
+    that final psi instead of the mid-collapse last row, which gives the
+    decoder a sharp enough denoiser to finish cleanly.
     """
 
     def __init__(self, traj: SeTrajectory, W: BaseMatrix, params: SparcParams):
         if traj.iterations < 1:
             raise ValueError("trajectory has no iterations")
         self.traj = traj
-        Wm = W.entries
-        sigma_r = Wm @ traj.psi[-1] / W.cols
+        self.sigma2 = params.sigma2
+        sigma_r = W.entries @ traj.psi[-1] / W.cols
         phi_r = params.sigma2 + sigma_r
-        col_info = (Wm / phi_r[:, np.newaxis]).mean(axis=0)
-        tau_c = (params.L / params.n) / col_info
-        self._tail = (sigma_r, phi_r, tau_c)
+        self._tail = (sigma_r, phi_r, column_tau(W, phi_r, params.L / params.n))
 
     def values(self, t, state, op):
         if t >= self.traj.iterations:
             return self._tail
-        return self.traj.sigma[t], self.traj.phi[t], self.traj.tau[t]
+        phi = self.traj.phi[t]
+        return phi - self.sigma2, phi, self.traj.tau[t]
 
 
-class OnlineSeSource(SeSource):
-    """Runtime estimates from the decoder iterates.
+class OnlineSeSource:
+    """(sigma_r, phi_r, tau_c) estimated from the decoder's current iterate.
 
     sigma_r is estimated from the energy of the current soft estimate;
-    phi_r is sigma2 + sigma_r when the noise variance is known, otherwise
-    the empirical residual energy per row block; tau_c follows from phi.
+    phi_r is sigma2 + sigma_r when the noise variance is known (or before
+    the first residual exists), otherwise the empirical residual energy per
+    row block; tau_c follows from phi. A nonpositive phi_r is clamped to
+    PHI_CLAMP_FACTOR * P and marks the state as clamped.
     """
 
     def __init__(self, W: BaseMatrix, params: SparcParams, sigma2_known: float | None):
@@ -134,10 +120,18 @@ class OnlineSeSource(SeSource):
         self.sigma2_known = sigma2_known
 
     def values(self, t, state, op):
-        sigma_r, phi_r, tau_c = online_se_update(
-            state, self.W, self.params, op, self.sigma2_known
-        )
-        return sigma_r, phi_r, tau_c
+        W, params = self.W, self.params
+        block_energy = (np.abs(state.beta) ** 2).reshape(W.cols, -1).sum(axis=1)
+        sigma_r = W.entries @ (1.0 - block_energy / params.sections_per_block) / W.cols
+        if self.sigma2_known is not None or state.z is None:
+            sigma2 = params.sigma2 if self.sigma2_known is None else self.sigma2_known
+            phi_r = sigma2 + sigma_r
+        else:
+            phi_r = (np.abs(state.z) ** 2).reshape(W.rows, -1).mean(axis=1)
+        if np.any(phi_r <= 0):
+            phi_r = np.maximum(phi_r, PHI_CLAMP_FACTOR * params.P)
+            state.clamped = True
+        return sigma_r, phi_r, column_tau(W, phi_r, params.L / params.n)
 
 
 def eta_denoise(s: np.ndarray, tau: np.ndarray, M: int, col_blocks: int) -> np.ndarray:
@@ -161,32 +155,6 @@ def eta_denoise(s: np.ndarray, tau: np.ndarray, M: int, col_blocks: int) -> np.n
     return out.reshape(-1)
 
 
-def online_se_update(
-    state: DecoderState,
-    W: BaseMatrix,
-    params: SparcParams,
-    op: DesignOperator,
-    sigma2_known: float | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Online estimates (sigma_r, phi_r, tau_c) at the current iterate."""
-    Wm = W.entries
-    secs = params.sections_per_block
-    block_energy = (np.abs(state.beta) ** 2).reshape(W.cols, -1).sum(axis=1)
-    sigma_r = Wm @ (1.0 - block_energy / secs) / W.cols
-    if sigma2_known is not None or state.z is None:
-        sigma2 = params.sigma2 if sigma2_known is None else sigma2_known
-        phi_r = sigma2 + sigma_r
-    else:
-        phi_r = (np.abs(state.z) ** 2).reshape(W.rows, -1).mean(axis=1)
-    eps = PHI_CLAMP_FACTOR * params.P
-    if np.any(phi_r <= 0):
-        phi_r = np.maximum(phi_r, eps)
-        state.clamped = True
-    col_info = (Wm / phi_r[:, np.newaxis]).mean(axis=0)
-    tau_c = (params.L / params.n) / col_info
-    return sigma_r, phi_r, tau_c
-
-
 @contextmanager
 def _stage(state: DecoderState, name: str):
     start = time.perf_counter()
@@ -197,7 +165,10 @@ def _stage(state: DecoderState, name: str):
 
 
 def amp_iterate(
-    state: DecoderState, op: DesignOperator, y: np.ndarray, se: SeSource
+    state: DecoderState,
+    op: DesignOperator,
+    y: np.ndarray,
+    se: OfflineSeSource | OnlineSeSource,
 ) -> DecoderState:
     """One AMP iteration, updating the state in place.
 
@@ -222,9 +193,11 @@ def amp_iterate(
         with _stage(state, "se_update"):
             sigma_r, _, _ = se.values(t, state, op)
         with _stage(state, "residual"):
-            upsilon = sigma_r / state.phi_prev
-            state.z = y - op.apply(state.beta)
-            state.z.reshape(W.rows, -1)[...] += upsilon[:, np.newaxis] * state.z_prev.reshape(W.rows, -1)
+            # upsilon^t = sigma^t / phi^{t-1}; state.z still holds z^{t-1}
+            upsilon = sigma_r / state.phi_trace[-1]
+            z = y - op.apply(state.beta)
+            z.reshape(W.rows, -1)[...] += upsilon[:, np.newaxis] * state.z.reshape(W.rows, -1)
+            state.z = z
         with _stage(state, "se_update"):
             sigma_r, phi_r, tau_c = se.values(t, state, op)
 
@@ -240,8 +213,6 @@ def amp_iterate(
         raise FloatingPointError(f"AMP diverged at iteration {t}: non-finite values")
 
     state.beta = beta_next
-    state.z_prev = state.z
-    state.phi_prev = phi_r
     state.phi_trace.append(phi_r)
     state.tau_trace.append(tau_c)
     state.t = t + 1
@@ -280,7 +251,7 @@ class DecodeDiagnostics:
 def decode(
     op: DesignOperator,
     y: np.ndarray,
-    se: SeSource,
+    se: OfflineSeSource | OnlineSeSource,
     cfg: AmpConfig | None = None,
     truth: np.ndarray | None = None,
 ) -> tuple[np.ndarray, DecodeDiagnostics]:

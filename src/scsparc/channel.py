@@ -49,22 +49,15 @@ def transmit(x: np.ndarray, ch: ChannelParams, seed) -> np.ndarray:
     return x + w
 
 
-def ebn0_db(R: float, snr: float, field: str = "real") -> float:
-    """Eb/N0 in dB for rate R in nats per dimension.
+def ebn0_db(R: float, snr: float) -> float:
+    """Eb/N0 = snr / (2 * R_bits) in dB, for rate R in nats per real dimension.
 
-    Real signaling uses snr / (2 * R_bits) with R per real dimension;
-    complex signaling uses snr / R_bits with R per complex dimension.
-    The convention is recorded alongside experiment outputs since the two
-    differ in their per-dimension accounting.
+    The same formula holds in both fields: a complex symbol carries two
+    real dimensions, 2 * R_bits bits, at snr = P/sigma2.
     """
     if R <= 0:
         raise ValueError("rate must be positive")
-    r_bits = R / LN2
-    if field == "complex":
-        ratio = snr / r_bits
-    else:
-        ratio = snr / (2.0 * r_bits)
-    return 10.0 * math.log10(ratio)
+    return 10.0 * math.log10(snr / (2.0 * R / LN2))
 
 
 def snr_from_db(snr_db: float) -> float:

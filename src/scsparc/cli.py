@@ -81,19 +81,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _se_csv_lines(traj):
+def _se_csv_lines(traj, params):
+    nu = 1.0 / (traj.tau * math.log(params.M))
+    sigma = traj.phi - params.sigma2
     cols = ["t,c,psi,tau,nu"]
     T = traj.iterations
     for t in range(T):
         for c in range(traj.psi.shape[1]):
             cols.append(
                 f"{t},{c},{traj.psi[t + 1, c]:.10g},"
-                f"{traj.tau[t, c]:.10g},{traj.nu[t, c]:.10g}"
+                f"{traj.tau[t, c]:.10g},{nu[t, c]:.10g}"
             )
     rows = ["t,r,phi,sigma"]
     for t in range(T):
         for r in range(traj.phi.shape[1]):
-            rows.append(f"{t},{r},{traj.phi[t, r]:.10g},{traj.sigma[t, r]:.10g}")
+            rows.append(f"{t},{r},{traj.phi[t, r]:.10g},{sigma[t, r]:.10g}")
     return cols, rows
 
 
@@ -106,7 +108,8 @@ def _cmd_se(args) -> int:
             file=sys.stderr,
         )
     traj = _point_se_trajectory(cfg, *cfg.sweep[0])
-    cols, rows = _se_csv_lines(traj)
+    params, _ = cfg.code_params(*cfg.sweep[0])
+    cols, rows = _se_csv_lines(traj, params)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for name, lines in (("se_columns.csv", cols), ("se_rows.csv", rows)):

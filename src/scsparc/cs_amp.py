@@ -86,7 +86,7 @@ class BgBayesDenoiser:
     """
 
     def __init__(self, eps: float, v: float):
-        self.prior = bernoulli_gauss_prior(eps, v)
+        bernoulli_gauss_prior(eps, v)  # raises on an invalid eps or v
         self.eps = eps
         self.v = v
 
@@ -116,7 +116,6 @@ class SoftThresholdDenoiser:
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         self.alpha = alpha
-        self.prior = None
 
     def __call__(self, s: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
         s = np.asarray(s, dtype=float)
@@ -221,14 +220,12 @@ def cs_se_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One state-evolution step: effective noise phi_r per row block,
     observation variance tau_c per column block, and the next per-block
-    MSE psi."""
+    MSE psi of the denoiser on signals drawn from model.prior (which need
+    not be the prior the denoiser assumes)."""
     W = model.W
     phi = model.sigma2 + (model.cols_per_block / model.rows_per_block) * (W @ psi)
     tau = 1.0 / ((W / phi[:, np.newaxis]).sum(axis=0))
-    prior = denoiser.prior
-    if prior is None:
-        prior = model.prior
-    psi_next = np.array([cs_mse_expectation(denoiser, prior, t) for t in tau])
+    psi_next = np.array([cs_mse_expectation(denoiser, model.prior, t) for t in tau])
     return phi, tau, psi_next
 
 

@@ -22,7 +22,7 @@ from .amp import AmpConfig, OfflineSeSource, OnlineSeSource, decode
 from .channel import ChannelParams, ebn0_db, snr_from_db, transmit
 from .design import build_dft_design, build_gaussian_design
 from .message import nmse, random_message, section_error_rate
-from .params import LN2, CouplingParams, build_base_matrix, derive_code_params
+from .params import LN2, CouplingParams, derive_code_params
 from .state_evolution import SeTrajectory, run_se
 
 __all__ = [
@@ -57,6 +57,13 @@ _ROLE_MESSAGE, _ROLE_DESIGN, _ROLE_NOISE, _ROLE_SE = 0, 1, 2, 3
 
 SE_MODES = ("online", "online_known_sigma", "offline")
 OPERATORS = ("dense", "dft")
+# the keys each config section accepts (sim's are ExperimentConfig field
+# names); from_mapping rejects any other
+_SECTION_KEYS = {
+    "code": ("M", "L", "omega", "Lambda", "rho", "rate_bits", "P"),
+    "channel": ("snr_db", "sigma2", "field"),
+    "sim": ("trials", "seed", "se_mode", "operator", "t_max", "stop_tol", "stop_window", "mc_samples"),
+}
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict, **overrides) -> "ExperimentConfig":
+        for section, keys in raw.items():
+            if section not in _SECTION_KEYS:
+                raise ValueError(f"unknown config section {section!r}")
+            unknown = sorted(set(keys) - set(_SECTION_KEYS[section]))
+            if unknown:
+                raise ValueError(f"unknown key(s) in config section {section!r}: {unknown}")
         code = dict(raw.get("code", {}))
         channel = dict(raw.get("channel", {}))
         sim = dict(raw.get("sim", {}))
@@ -120,18 +133,7 @@ class ExperimentConfig:
             P=float(code.get("P", 1.0)),
             field_kind=str(channel.get("field", "real")),
         )
-        for key in (
-            "trials",
-            "seed",
-            "se_mode",
-            "operator",
-            "t_max",
-            "stop_tol",
-            "stop_window",
-            "mc_samples",
-        ):
-            if key in sim:
-                kwargs[key] = sim[key]
+        kwargs.update(sim)
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**kwargs)
 
@@ -155,7 +157,7 @@ class ExperimentConfig:
         params = derive_code_params(
             rate_bits * LN2, self.M, coupling, self.L, self.P, sigma2, even=need_even
         )
-        return params, build_base_matrix(coupling, self.P)
+        return params, params.base
 
 
 def _trial_seed(root: int, point: int, trial: int, role: int) -> np.random.SeedSequence:
@@ -282,10 +284,8 @@ def run_experiment(cfg: ExperimentConfig, keep_progression: bool = False) -> lis
                 nmse_std=float(nmses.std()),
                 iters_mean=float(np.mean([r.iterations for r in results])),
                 ber_proxy=float(sers.mean() * math.log2(cfg.M)),
-                ebn0_db=ebn0_db(params.R, params.snr, cfg.field_kind),
-                ebn0_convention=(
-                    "snr/(2*rate_bits)" if cfg.field_kind == "real" else "snr/rate_bits"
-                ),
+                ebn0_db=ebn0_db(params.R, params.snr),
+                ebn0_convention="snr/(2*rate_bits)",
                 diverged_count=int(sum(r.diverged for r in results)),
                 trial_results=results,
                 se_traj=se_traj,

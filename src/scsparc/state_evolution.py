@@ -21,6 +21,7 @@ from .params import BaseMatrix, CouplingParams, SparcParams
 
 __all__ = [
     "SectionExpectation",
+    "column_tau",
     "se_step",
     "run_se",
     "SeTrajectory",
@@ -139,6 +140,19 @@ class SectionExpectation:
         return float(E[0]) if np.ndim(tau) == 0 else E
 
 
+def column_tau(W: BaseMatrix, phi: np.ndarray, scale: float) -> np.ndarray:
+    """tau_c = scale * [(1/R_blocks) sum_r W_rc/phi_r]^{-1} per column block.
+
+    State evolution passes scale = R/ln M and the decoder's sources pass
+    L/n; the two are equal in exact arithmetic but not always in the last
+    bit, so each keeps its own.
+    """
+    col_info = (W.entries / phi[:, np.newaxis]).mean(axis=0)
+    if np.any(col_info <= 0):
+        raise ZeroDivisionError("a base-matrix column is identically zero")
+    return scale / col_info
+
+
 def se_step(
     W: BaseMatrix,
     psi: np.ndarray,
@@ -159,12 +173,8 @@ def se_step(
     psi = np.asarray(psi, dtype=float)
     if np.any((psi < 0) | (psi > 1)):
         raise ValueError("psi entries must lie in [0, 1]")
-    Wm = W.entries
-    phi = sigma2 + Wm @ psi / W.cols
-    col_info = (Wm / phi[:, np.newaxis]).mean(axis=0)
-    if np.any(col_info <= 0):
-        raise ZeroDivisionError("a base-matrix column is identically zero")
-    tau = (R / math.log(M)) / col_info
+    phi = sigma2 + W.entries @ psi / W.cols
+    tau = column_tau(W, phi, R / math.log(M))
     # mirror columns get taus that differ by about 1 ulp: evaluate the
     # first tau seen for each 12-significant-digit key, all in one call
     slot_of: dict[str, int] = {}
@@ -184,15 +194,14 @@ def se_step(
 class SeTrajectory:
     """Per-iteration state-evolution arrays.
 
-    psi has shape (T+1, C) with psi[0] = 1; phi, sigma, tau, nu have shape
-    (T, ...) where row t holds the values used to produce psi[t+1].
+    psi has shape (T+1, C) with psi[0] = 1; phi (T, R) and tau (T, C) hold
+    in row t the values used to produce psi[t+1]. The Onsager coefficient
+    sigma = phi - sigma2 and nu = 1/(tau ln M) follow from them.
     """
 
     psi: np.ndarray
     phi: np.ndarray
-    sigma: np.ndarray
     tau: np.ndarray
-    nu: np.ndarray
     threshold: float
     reached_threshold: bool
 
@@ -213,13 +222,12 @@ def run_se(
 
     Common random numbers are reused across all tau evaluations of the run.
     """
-    if not 0.0 < threshold < 1.0:
-        # threshold == 1 is allowed as the trivial stop-at-start case
-        if threshold != 1.0:
-            raise ValueError("stop threshold must lie in (0, 1]")
+    # threshold == 1 is allowed as the trivial stop-at-start case
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError("stop threshold must lie in (0, 1]")
     expectation = SectionExpectation(params.M, mc_samples, seed)
     psi_hist = [np.ones(W.cols)]
-    phi_hist, sigma_hist, tau_hist = [], [], []
+    phi_hist, tau_hist = [], []
     reached = bool(np.all(psi_hist[0] <= threshold))
     t = 0
     while not reached and t < t_max:
@@ -227,24 +235,15 @@ def run_se(
             W, psi_hist[-1], params.sigma2, params.R, params.M, expectation
         )
         phi_hist.append(phi)
-        sigma_hist.append(phi - params.sigma2)
         tau_hist.append(tau)
         psi_hist.append(psi_next)
         reached = bool(np.all(psi_next <= threshold))
         t += 1
 
-    psi = np.array(psi_hist)
-    phi = np.array(phi_hist).reshape(t, W.rows)
-    sigma = np.array(sigma_hist).reshape(t, W.rows)
-    tau = np.array(tau_hist).reshape(t, W.cols)
-    nu = 1.0 / (tau * math.log(params.M)) if t else tau.copy()
-
     return SeTrajectory(
-        psi=psi,
-        phi=phi,
-        sigma=sigma,
-        tau=tau,
-        nu=nu,
+        psi=np.array(psi_hist),
+        phi=np.array(phi_hist).reshape(t, W.rows),
+        tau=np.array(tau_hist).reshape(t, W.cols),
         threshold=threshold,
         reached_threshold=reached,
     )

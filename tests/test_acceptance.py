@@ -101,8 +101,7 @@ def test_criterion_01_full_tracking():
             "late-iteration wavefront deviation exceeds 0.05 at this trial "
             f"count ({devs[15]:.3f} at t=15, {devs[20]:.3f} at t=20); the "
             "per-trial wavefront position fluctuates by O(1) block at "
-            "finite M and the reference public implementation shows the "
-            "same deviation — see the decisions ledger"
+            "finite M — see the decisions ledger"
         )
 
 
@@ -125,8 +124,7 @@ def test_criterion_01_reduced_tracking():
             "criterion 1 (reduced config): FAIL — " + detail + "; "
             "mid/late-iteration deviation exceeds 0.05 at M=128 "
             f"({devs[10]:.3f}/{devs[15]:.3f}/{devs[20]:.3f} at t=10/15/20); "
-            "systematic wavefront smear at small section size, matched by "
-            "the reference public implementation (~0.23) — see the "
+            "systematic wavefront smear at small section size — see the "
             "decisions ledger"
         )
 

@@ -16,7 +16,6 @@ from scsparc.amp import (
     amp_iterate,
     decode,
     eta_denoise,
-    online_se_update,
     should_stop,
 )
 from scsparc.channel import ChannelParams, transmit
@@ -68,7 +67,7 @@ def test_eta_denoise_properties():
 def test_online_estimates_at_start():
     params, base, op, beta, y = small_setup()
     state = DecoderState.initial(op)
-    sigma_r, phi_r, tau_c = online_se_update(state, base, params, op, None)
+    sigma_r, phi_r, tau_c = OnlineSeSource(base, params, None).values(0, state, op)
     # beta = 0: sigma_r is the full row average of W
     assert np.allclose(sigma_r, base.entries.mean(axis=1))
     assert np.allclose(phi_r, params.sigma2 + sigma_r)
@@ -81,7 +80,7 @@ def test_online_estimates_at_truth():
     params, base, op, beta, y = small_setup()
     state = DecoderState.initial(op)
     state.beta = beta.astype(float)
-    sigma_r, phi_r, _ = online_se_update(state, base, params, op, params.sigma2)
+    sigma_r, phi_r, _ = OnlineSeSource(base, params, params.sigma2).values(0, state, op)
     assert np.allclose(sigma_r, 0.0)
     assert np.allclose(phi_r, params.sigma2)
 
@@ -143,6 +142,19 @@ def test_decode_offline_matches_trajectory_source():
     assert diag.phi_trace.shape[1] == base.rows
     # the offline source replays the trajectory values exactly
     assert np.allclose(diag.phi_trace[0], traj.phi[0])
+    state = DecoderState.initial(op)
+    for t in range(traj.iterations):
+        sigma_r, phi_r, tau_c = se.values(t, state, op)
+        assert np.array_equal(sigma_r, traj.phi[t] - params.sigma2)
+        assert np.array_equal(phi_r, traj.phi[t])
+        assert np.array_equal(tau_c, traj.tau[t])
+    # past the schedule: the fixed point of the final psi
+    sigma_fp = base.entries @ traj.psi[-1] / base.cols
+    phi_fp = params.sigma2 + sigma_fp
+    tau_fp = (params.L / params.n) / (base.entries / phi_fp[:, None]).mean(axis=0)
+    for t in (traj.iterations, traj.iterations + 5):
+        for got, want in zip(se.values(t, state, op), (sigma_fp, phi_fp, tau_fp)):
+            assert np.array_equal(got, want)
 
 
 def test_decode_complex_field():
@@ -239,13 +251,14 @@ def test_amp_iterate_residual_matches_repeat_formula(operator):
         y = transmit(op.apply(random_message(4, 8, seed=12)), ch, seed=13)
     se = OnlineSeSource(base, params, params.sigma2)
     state = DecoderState.initial(op)
-    for _ in range(3):
-        beta_t, z_prev, phi_prev = state.beta, state.z, state.phi_prev
+    for _ in range(2):
         amp_iterate(state, op, y, se)
+    beta_t, z_prev, phi_prev = state.beta, state.z, state.phi_trace[-1]
+    amp_iterate(state, op, y, se)
     # upsilon^t = sigma^t / phi^{t-1}, with sigma^t from beta^t
     probe = DecoderState.initial(op)
     probe.beta = beta_t
-    sigma_r = online_se_update(probe, base, params, op, params.sigma2)[0]
+    sigma_r = se.values(0, probe, op)[0]
     upsilon = sigma_r / phi_prev
     ref = y - op.apply(beta_t) + np.repeat(upsilon, op.rows_per_block) * z_prev
     assert np.array_equal(state.z, ref)

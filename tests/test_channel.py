@@ -45,9 +45,9 @@ def test_snr_db_roundtrip():
 
 
 def test_ebn0():
-    # snr=15 at R=1.5 bits per complex dim -> 15/1.5 = 10 dB
-    R = 1.5 * math.log(2)
-    assert math.isclose(ebn0_db(R, 15.0, field="complex"), 10.0)
+    # snr=15 at R=0.75 bits per real dim -> 15/(2*0.75) = 10 dB
+    R = 0.75 * math.log(2)
+    assert math.isclose(ebn0_db(R, 15.0), 10.0)
     # monotone in snr at fixed rate
     vals = [ebn0_db(R, s) for s in (1.0, 2.0, 5.0, 15.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))

@@ -139,6 +139,16 @@ def test_cs_se_step_psi_zero():
     assert np.all(psi_next >= 0)
 
 
+def test_cs_se_step_averages_over_the_signal_prior():
+    # a denoiser tuned to another prior is scored on the signal's prior
+    Wcs = build_cs_base_matrix(CouplingParams(2, 4))
+    model = CsModel(W=Wcs, p=400, n=200, sigma2=1e-3, prior=bernoulli_gauss_prior(0.2, 1.0))
+    den = BgBayesDenoiser(0.1, 1.0)
+    _, tau, psi_next = cs_se_step(np.full(model.cols, 0.1), model, den)
+    want = [cs_mse_expectation(den, model.prior, t) for t in tau]
+    assert np.array_equal(psi_next, want)
+
+
 def test_cs_se_wiener_closed_form_trajectory():
     # eps = 1: the SE recursion has the closed Wiener form
     # psi' = v * tau / (v + tau) with tau from phi

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -58,13 +59,28 @@ def test_config_rejects_double_sweep():
         ExperimentConfig.from_mapping(raw)
 
 
+def with_section(name, **keys):
+    """SMALL with extra keys in one config section."""
+    return dict(SMALL, **{name: dict(SMALL.get(name, {}), **keys)})
+
+
 @pytest.mark.parametrize(
-    "over",
-    [dict(trials=0), dict(se_mode="bogus"), dict(operator="bogus"), dict(field_kind="bogus")],
+    "raw, over",
+    [
+        pytest.param(SMALL, dict(trials=0), id="over0"),
+        pytest.param(SMALL, dict(se_mode="bogus"), id="over1"),
+        pytest.param(SMALL, dict(operator="bogus"), id="over2"),
+        pytest.param(SMALL, dict(field_kind="bogus"), id="over3"),
+        # misspelt keys and sections, which would otherwise fall back to defaults
+        pytest.param(with_section("sim", **{"se-mode": "offline", "trails": 50}), {}, id="sim-typos"),
+        pytest.param(with_section("channel", feild="complex"), {}, id="channel-typo"),
+        pytest.param(with_section("code", Lamda=4), {}, id="code-typo"),
+        pytest.param(with_section("simulation", trials=2), {}, id="unknown-section"),
+    ],
 )
-def test_config_validation_raises_value_error(over):
+def test_config_validation_raises_value_error(raw, over):
     with pytest.raises(ValueError):
-        small_config(**over)
+        ExperimentConfig.from_mapping(raw, **over)
 
 
 def test_offline_trial_without_se_traj_raises():
@@ -154,12 +170,35 @@ def test_cli_se_emits_the_offline_decoding_trajectory(tmp_path, capsys):
     assert cli_main(["se", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
     assert "only point 0 is emitted" in capsys.readouterr().err
 
-    traj = run_experiment(ExperimentConfig.from_mapping(raw))[0].se_traj
+    cfg = ExperimentConfig.from_mapping(raw)
+    traj = run_experiment(cfg)[0].se_traj
+    params, _ = cfg.code_params(*cfg.sweep[0])
     lines = (out_dir / "se_columns.csv").read_text().splitlines()[1:]
     assert len(lines) == traj.psi[1:].size
     for line in lines:
-        t, c, psi = line.split(",")[:3]
-        assert psi == f"{traj.psi[int(t) + 1, int(c)]:.10g}"
+        t, c, psi, tau, nu = line.split(",")
+        t, c = int(t), int(c)
+        assert psi == f"{traj.psi[t + 1, c]:.10g}"
+        assert tau == f"{traj.tau[t, c]:.10g}"
+        assert nu == f"{1.0 / (traj.tau[t, c] * math.log(params.M)):.10g}"
+    lines = (out_dir / "se_rows.csv").read_text().splitlines()[1:]
+    assert len(lines) == traj.phi.size
+    for line in lines:
+        t, r, phi, sigma = line.split(",")
+        t, r = int(t), int(r)
+        assert phi == f"{traj.phi[t, r]:.10g}"
+        assert sigma == f"{traj.phi[t, r] - params.sigma2:.10g}"
+
+
+@pytest.mark.parametrize(
+    "over", [dict(operator="dft", field_kind="complex"), dict(operator="dense", field_kind="real")]
+)
+def test_ebn0_is_snr_over_twice_the_realized_rate(over):
+    cfg = small_config(trials=1, **over)
+    (rec,) = run_experiment(cfg)
+    params, _ = cfg.code_params(*cfg.sweep[0])
+    assert rec.ebn0_db == pytest.approx(10 * np.log10(params.snr / (2 * params.rate_bits)), abs=1e-12)
+    assert rec.ebn0_convention == "snr/(2*rate_bits)"
 
 
 def test_cli_rerun_byte_identical(tmp_path):

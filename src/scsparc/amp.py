@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -38,7 +39,9 @@ __all__ = [
 ]
 
 # amp_iterate's stages: residual (with the forward product), adjoint (the
-# effective observation), denoiser, and the state-evolution source
+# effective observation), denoiser, and the state-evolution source. On the
+# dense operator the residual pass also forms the adjoint's products, so
+# "residual" holds them and "adjoint" only their scaled sum.
 STAGES = ("residual", "adjoint", "denoise", "se_update")
 PHI_CLAMP_FACTOR = 1e-12
 # decode stops as diverged once some phi exceeds this multiple of
@@ -84,6 +87,8 @@ class OfflineSeSource:
     its own). Iterations past the schedule use the fixed point implied by
     that final psi instead of the mid-collapse last row, which gives the
     decoder a sharp enough denoiser to finish cleanly.
+
+    `sigma` gives sigma_r alone, which the decoder needs before z^t exists.
     """
 
     def __init__(self, traj: SeTrajectory, W: BaseMatrix, params: SparcParams):
@@ -95,11 +100,15 @@ class OfflineSeSource:
         phi_r = params.sigma2 + sigma_r
         self._tail = (sigma_r, phi_r, column_tau(W, phi_r, params.L / params.n))
 
+    def sigma(self, t, state):
+        if t >= self.traj.iterations:
+            return self._tail[0]
+        return self.traj.phi[t] - self.sigma2
+
     def values(self, t, state, op):
         if t >= self.traj.iterations:
             return self._tail
-        phi = self.traj.phi[t]
-        return phi - self.sigma2, phi, self.traj.tau[t]
+        return self.sigma(t, state), self.traj.phi[t], self.traj.tau[t]
 
 
 class OnlineSeSource:
@@ -109,7 +118,8 @@ class OnlineSeSource:
     phi_r is sigma2 + sigma_r when the noise variance is known (or before
     the first residual exists), otherwise the empirical residual energy per
     row block; tau_c follows from phi. A nonpositive phi_r is clamped to
-    PHI_CLAMP_FACTOR * P and marks the state as clamped.
+    PHI_CLAMP_FACTOR * P and marks the state as clamped. `sigma` gives
+    sigma_r alone, from beta only.
     """
 
     def __init__(self, W: BaseMatrix, params: SparcParams, sigma2_known: float | None):
@@ -119,10 +129,14 @@ class OnlineSeSource:
         self.params = params
         self.sigma2_known = sigma2_known
 
+    def sigma(self, t, state):
+        W = self.W
+        block_energy = (np.abs(state.beta) ** 2).reshape(W.cols, -1).sum(axis=1)
+        return W.entries @ (1.0 - block_energy / self.params.sections_per_block) / W.cols
+
     def values(self, t, state, op):
         W, params = self.W, self.params
-        block_energy = (np.abs(state.beta) ** 2).reshape(W.cols, -1).sum(axis=1)
-        sigma_r = W.entries @ (1.0 - block_energy / params.sections_per_block) / W.cols
+        sigma_r = self.sigma(t, state)
         if self.sigma2_known is not None or state.z is None:
             sigma2 = params.sigma2 if self.sigma2_known is None else self.sigma2_known
             phi_r = sigma2 + sigma_r
@@ -184,28 +198,25 @@ def amp_iterate(
     if t == 0:
         with _stage(state, "residual"):
             state.z = y.copy()
-        with _stage(state, "se_update"):
-            sigma_r, phi_r, tau_c = se.values(t, state, op)
+            adjoint = partial(op.apply_scaled_adjoint, z=state.z)
     else:
         # The Onsager coefficient needs sigma^t before z^t exists, so the
-        # sources compute sigma from beta^t and (if measuring residual
+        # sources give sigma from beta^t here and (if measuring residual
         # energy) phi from z^t afterwards.
         with _stage(state, "se_update"):
-            sigma_r, _, _ = se.values(t, state, op)
+            sigma_r = se.sigma(t, state)
         with _stage(state, "residual"):
             # upsilon^t = sigma^t / phi^{t-1}; state.z still holds z^{t-1}
             upsilon = sigma_r / state.phi_trace[-1]
-            z = y - op.apply(state.beta)
-            z.reshape(W.rows, -1)[...] += upsilon[:, np.newaxis] * state.z.reshape(W.rows, -1)
-            state.z = z
-        with _stage(state, "se_update"):
-            sigma_r, phi_r, tau_c = se.values(t, state, op)
+            state.z, adjoint = op.residual(state.beta, y, upsilon, state.z)
+    with _stage(state, "se_update"):
+        sigma_r, phi_r, tau_c = se.values(t, state, op)
 
     scale = 2.0 if op.field == "complex" else 1.0
     S = scale * tau_c[np.newaxis, :] / phi_r[:, np.newaxis]
     with _stage(state, "adjoint"):
         # the denoiser reads only the real part of s
-        s = state.beta.real + op.apply_scaled_adjoint(S, state.z).real
+        s = state.beta.real + adjoint(S).real
     with _stage(state, "denoise"):
         beta_next = eta_denoise(s, tau_c, params.M, W.cols)
 

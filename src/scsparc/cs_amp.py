@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import CouplingParams, build_base_matrix
+from .state_evolution import normal_quadrature
 
 __all__ = [
     "MixturePrior",
@@ -197,9 +198,7 @@ def cs_mse_expectation(denoiser, prior: MixturePrior, tau: float) -> float:
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    nodes, wts = np.polynomial.hermite.hermgauss(GH_NODES)
-    g = math.sqrt(2.0) * nodes
-    wn = wts / math.sqrt(math.pi)
+    g, wn = normal_quadrature(GH_NODES)
     total = 0.0
     for w, m, v in zip(prior.weights, prior.means, prior.variances):
         if v == 0.0:

@@ -64,6 +64,7 @@ _SECTION_KEYS = {
     "channel": ("snr_db", "sigma2", "field"),
     "sim": ("trials", "seed", "se_mode", "operator", "t_max", "stop_tol", "stop_window", "mc_samples"),
 }
+_REQUIRED_CODE_KEYS = ("M", "L", "omega", "Lambda", "rate_bits")
 
 
 @dataclass(frozen=True)
@@ -102,15 +103,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict, **overrides) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a mapping of sections (is the file empty?)")
         for section, keys in raw.items():
             if section not in _SECTION_KEYS:
                 raise ValueError(f"unknown config section {section!r}")
+            if not isinstance(keys, dict):
+                raise ValueError(f"config section {section!r} must be a mapping")
             unknown = sorted(set(keys) - set(_SECTION_KEYS[section]))
             if unknown:
                 raise ValueError(f"unknown key(s) in config section {section!r}: {unknown}")
         code = dict(raw.get("code", {}))
         channel = dict(raw.get("channel", {}))
         sim = dict(raw.get("sim", {}))
+        missing = [k for k in _REQUIRED_CODE_KEYS if k not in code]
+        if missing:
+            raise ValueError(f"config section 'code' is missing {missing}")
+        if "snr_db" not in channel and "sigma2" not in channel:
+            raise ValueError("config section 'channel' needs snr_db or sigma2")
 
         def listify(x):
             return tuple(x) if isinstance(x, (list, tuple)) else (x,)

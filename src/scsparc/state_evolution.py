@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .params import BaseMatrix, CouplingParams, SparcParams
 
 __all__ = [
+    "normal_quadrature",
     "SectionExpectation",
     "column_tau",
     "se_step",
@@ -36,6 +38,18 @@ _ROW_BLOCK = 256
 # exponent k of the progression report's NMSE floor M^(-k delta^2); theory
 # does not pin it down
 NMSE_FLOOR_K = 1.0
+
+
+@lru_cache(maxsize=None)
+def normal_quadrature(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w with sum_k w_k f(x_k) ~ E f(G), G ~ N(0, 1):
+    n-node Gauss-Hermite, computed once per node count (read-only)."""
+    nodes, wts = np.polynomial.hermite.hermgauss(n_nodes)
+    x = math.sqrt(2.0) * nodes
+    w = wts / math.sqrt(math.pi)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 class SectionExpectation:
@@ -84,9 +98,7 @@ class SectionExpectation:
         self._umax = U.max(axis=1)
         U -= self._umax[:, np.newaxis]
         self._Uc = U
-        nodes, wts = np.polynomial.hermite.hermgauss(self.GH_NODES)
-        self._gh_x = math.sqrt(2.0) * nodes
-        self._gh_w = wts / math.sqrt(math.pi)
+        self._gh_x, self._gh_w = normal_quadrature(self.GH_NODES)
         rows = min(_ROW_BLOCK, n_samples)
         self._ones = np.ones(M - 1)
         self._exp_buf = np.empty((rows, M - 1))

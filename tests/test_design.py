@@ -8,7 +8,13 @@ import pytest
 from scsparc import design
 from scsparc.design import build_dft_design, build_gaussian_design
 from scsparc.message import random_message
-from scsparc.params import CouplingParams, SparcParams, build_base_matrix, derive_code_params
+from scsparc.params import (
+    BaseMatrix,
+    CouplingParams,
+    SparcParams,
+    build_base_matrix,
+    derive_code_params,
+)
 from design_oracles import (
     reference_apply,
     reference_dft_blocks,
@@ -228,6 +234,95 @@ def test_dense_memory_check_counts_nonzero_blocks(monkeypatch):
     monkeypatch.setattr(design, "MEMORY_CAP", nbytes - 1)
     with pytest.raises(MemoryError):
         build_gaussian_design(params, W, seed=0)
+
+
+def dense_kernel_op(field, rho):
+    # 20 real or 10 complex rows per row block, neither a multiple of 3
+    base = build_base_matrix(CouplingParams(3, 5, rho), 1.0)
+    params = SparcParams(n=40 * base.rows, M=4, L=10, base=base, P=1.0, sigma2=0.1)
+    return build_gaussian_design(params, base, seed=5, field=field)
+
+
+def residual_inputs(op, seed):
+    """beta, y, upsilon, z_prev and a positive S for `op`."""
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        x = rng.standard_normal(size)
+        return x + 1j * rng.standard_normal(size) if op.field == "complex" else x
+
+    beta = rng.random(op.n_cols)
+    y, z_prev = draw(op.n_rows), draw(op.n_rows)
+    upsilon = rng.uniform(0.0, 1.0, op.W.rows)
+    S = rng.uniform(0.5, 2.0, (op.W.rows, op.W.cols))
+    return beta, y, upsilon, z_prev, S
+
+
+def assert_residual_is_its_two_products(op, beta, y, upsilon, z_prev, S):
+    z, adjoint = op.residual(beta, y, upsilon, z_prev)
+    onsager = np.repeat(upsilon, op.rows_per_block) * z_prev
+    assert np.array_equal(z, y - op.apply(beta) + onsager)
+    assert np.array_equal(adjoint(S), op.apply_scaled_adjoint(S, z))
+    return z, adjoint
+
+
+@pytest.mark.parametrize("chunk", ["1row", "3rows", "row-block"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("rho", [0.0, 0.25])
+def test_dense_residual_is_its_two_products_and_matches_dense(monkeypatch, rho, field, chunk):
+    op = dense_kernel_op(field, rho)
+    row_bytes = max(mat[0].nbytes for mat in op._row_mats)
+    # 3 rows of the widest row blocks, which divides neither 20 nor 10
+    chunk_bytes = {"1row": 1, "3rows": 3 * row_bytes, "row-block": 2**40}[chunk]
+    monkeypatch.setattr(design, "_CHUNK_BYTES", chunk_bytes)
+    beta, y, upsilon, z_prev, S = residual_inputs(op, seed=8)
+    z, adjoint = assert_residual_is_its_two_products(op, beta, y, upsilon, z_prev, S)
+    A = op.materialize()
+    ref = y - A @ beta + np.repeat(upsilon, op.rows_per_block) * z_prev
+    assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+    S_full = np.repeat(np.repeat(S, op.rows_per_block, axis=0), op.cols_per_block, axis=1)
+    ref = (S_full * A).conj().T @ z
+    assert np.linalg.norm(adjoint(S) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_dft_residual_is_its_two_products():
+    params, W = dft_params(2, 4, 0.25)
+    op = build_dft_design(params, W, seed=3)
+    assert_residual_is_its_two_products(op, *residual_inputs(op, seed=9))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_dense_row_block_without_blocks(field):
+    # row block 2 stores no block: there z = y + upsilon * z_prev exactly
+    W = BaseMatrix(np.array([[1.5, 1.5], [1.5, 1.5], [0.0, 0.0]]), 1.0)
+    params = SparcParams(n=48, M=4, L=8, base=W, P=1.0, sigma2=0.1)
+    op = build_gaussian_design(params, W, seed=2, field=field)
+    assert op._row_mats[2].size == 0
+    beta, y, upsilon, z_prev, S = residual_inputs(op, seed=4)
+    z, adjoint = assert_residual_is_its_two_products(op, beta, y, upsilon, z_prev, S)
+    rows = slice(2 * op.rows_per_block, None)
+    assert np.array_equal(z[rows], y[rows] + upsilon[2] * z_prev[rows])
+    assert np.all(op.apply(beta)[rows] == 0.0)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_dense_build_holds_one_block_beyond_the_stored_ones(field):
+    # 15 nonzero blocks of 64 x 512 entries
+    base = build_base_matrix(CouplingParams(3, 5), 1.0)
+    rows = 64 * base.rows
+    n = rows if field == "real" else 2 * rows
+    params = SparcParams(n=n, M=16, L=160, base=base, P=1.0, sigma2=0.1)
+    np.random.default_rng(0)  # numpy.random's import stays out of the peak
+    tracemalloc.start()
+    try:
+        op = build_gaussian_design(params, base, seed=1, field=field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = op.rows_per_block * op.cols_per_block * op.dtype.itemsize
+    stored = sum(mat.nbytes for mat in op._row_mats)
+    assert len(op._blocks) == 15 and stored == 15 * block
+    assert peak <= stored + 1.1 * block
 
 
 # (omega, Lambda, rho) -> nonzero blocks: one block, one to five blocks

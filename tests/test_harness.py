@@ -65,21 +65,31 @@ def with_section(name, **keys):
 
 
 @pytest.mark.parametrize(
-    "raw, over",
+    "raw, over, named",
     [
-        pytest.param(SMALL, dict(trials=0), id="over0"),
-        pytest.param(SMALL, dict(se_mode="bogus"), id="over1"),
-        pytest.param(SMALL, dict(operator="bogus"), id="over2"),
-        pytest.param(SMALL, dict(field_kind="bogus"), id="over3"),
+        pytest.param(SMALL, dict(trials=0), None, id="over0"),
+        pytest.param(SMALL, dict(se_mode="bogus"), None, id="over1"),
+        pytest.param(SMALL, dict(operator="bogus"), None, id="over2"),
+        pytest.param(SMALL, dict(field_kind="bogus"), None, id="over3"),
         # misspelt keys and sections, which would otherwise fall back to defaults
-        pytest.param(with_section("sim", **{"se-mode": "offline", "trails": 50}), {}, id="sim-typos"),
-        pytest.param(with_section("channel", feild="complex"), {}, id="channel-typo"),
-        pytest.param(with_section("code", Lamda=4), {}, id="code-typo"),
-        pytest.param(with_section("simulation", trials=2), {}, id="unknown-section"),
+        pytest.param(
+            with_section("sim", **{"se-mode": "offline", "trails": 50}), {}, None, id="sim-typos"
+        ),
+        pytest.param(with_section("channel", feild="complex"), {}, None, id="channel-typo"),
+        pytest.param(with_section("code", Lamda=4), {}, None, id="code-typo"),
+        pytest.param(with_section("simulation", trials=2), {}, None, id="unknown-section"),
+        # missing entries, named in the message
+        pytest.param(dict(SMALL, channel=dict(field="real")), {}, "sigma2", id="no-snr-or-sigma2"),
+        pytest.param(
+            dict(SMALL, code={k: v for k, v in SMALL["code"].items() if k != "M"}), {}, "'M'",
+            id="no-M",
+        ),
+        pytest.param(None, {}, "empty", id="empty-file"),
+        pytest.param(dict(SMALL, sim=None), {}, "'sim'", id="empty-section"),
     ],
 )
-def test_config_validation_raises_value_error(raw, over):
-    with pytest.raises(ValueError):
+def test_config_validation_raises_value_error(raw, over, named):
+    with pytest.raises(ValueError, match=named):
         ExperimentConfig.from_mapping(raw, **over)
 
 

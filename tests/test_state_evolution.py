@@ -12,11 +12,22 @@ from scsparc.params import LN2, BaseMatrix, CouplingParams, build_base_matrix, d
 from scsparc.state_evolution import (
     SectionExpectation,
     asymptotic_se,
+    normal_quadrature,
     progression_report,
     run_se,
     se_step,
 )
 from se_oracles import LogsumexpSectionExpectation, mc_expectation_E
+
+
+def test_normal_quadrature_is_computed_once_and_read_only():
+    x, w = normal_quadrature(64)
+    nodes, wts = np.polynomial.hermite.hermgauss(64)
+    assert np.array_equal(x, math.sqrt(2.0) * nodes)
+    assert np.array_equal(w, wts / math.sqrt(math.pi))
+    assert normal_quadrature(64)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
 
 
 def quad_expectation_M2(tau):

@@ -15,7 +15,6 @@ from .cs_amp import (
     BgBayesDenoiser,
     CsModel,
     MixturePrior,
-    SoftThresholdDenoiser,
     bernoulli_gauss_prior,
     build_cs_base_matrix,
     cs_amp_decode,

@@ -78,17 +78,18 @@ class DecoderState:
 
 
 class OfflineSeSource:
-    """(sigma_r, phi_r, tau_c) for iteration t from a precomputed
+    """sigma_r, phi_r and tau_c for iteration t from a precomputed
     state-evolution trajectory, then from its fixed point.
 
-    For t below the trajectory's length it returns (phi[t] - sigma2,
-    phi[t], tau[t]). The trajectory's phi/tau rows stop one step short of
-    its final psi (the psi that triggered convergence never gets a phi of
-    its own). Iterations past the schedule use the fixed point implied by
-    that final psi instead of the mid-collapse last row, which gives the
-    decoder a sharp enough denoiser to finish cleanly.
+    For t below the trajectory's length `sigma` gives phi[t] - sigma2 and
+    `values` gives (phi[t], tau[t]). The trajectory's phi/tau rows stop one
+    step short of its final psi (the psi that triggered convergence never
+    gets a phi of its own). Iterations past the schedule use the fixed
+    point implied by that final psi instead of the mid-collapse last row,
+    which gives the decoder a sharp enough denoiser to finish cleanly.
 
-    `sigma` gives sigma_r alone, which the decoder needs before z^t exists.
+    The decoder calls `sigma` once per iteration, before z^t exists, and
+    passes its result to `values`, which does not need it here.
     """
 
     def __init__(self, traj: SeTrajectory, W: BaseMatrix, params: SparcParams):
@@ -105,21 +106,21 @@ class OfflineSeSource:
             return self._tail[0]
         return self.traj.phi[t] - self.sigma2
 
-    def values(self, t, state, op):
+    def values(self, t, state, sigma_r):
         if t >= self.traj.iterations:
-            return self._tail
-        return self.sigma(t, state), self.traj.phi[t], self.traj.tau[t]
+            return self._tail[1:]
+        return self.traj.phi[t], self.traj.tau[t]
 
 
 class OnlineSeSource:
-    """(sigma_r, phi_r, tau_c) estimated from the decoder's current iterate.
+    """sigma_r, phi_r and tau_c estimated from the decoder's current iterate.
 
-    sigma_r is estimated from the energy of the current soft estimate;
-    phi_r is sigma2 + sigma_r when the noise variance is known (or before
-    the first residual exists), otherwise the empirical residual energy per
-    row block; tau_c follows from phi. A nonpositive phi_r is clamped to
-    PHI_CLAMP_FACTOR * P and marks the state as clamped. `sigma` gives
-    sigma_r alone, from beta only.
+    `sigma` estimates sigma_r from the energy of the current soft estimate
+    beta alone. `values(t, state, sigma_r)` gives (phi_r, tau_c): phi_r is
+    sigma2 + sigma_r when the noise variance is known (or before the first
+    residual exists), otherwise the empirical residual energy per row
+    block; tau_c follows from phi. A nonpositive phi_r is clamped to
+    PHI_CLAMP_FACTOR * P and marks the state as clamped.
     """
 
     def __init__(self, W: BaseMatrix, params: SparcParams, sigma2_known: float | None):
@@ -134,9 +135,8 @@ class OnlineSeSource:
         block_energy = (np.abs(state.beta) ** 2).reshape(W.cols, -1).sum(axis=1)
         return W.entries @ (1.0 - block_energy / self.params.sections_per_block) / W.cols
 
-    def values(self, t, state, op):
+    def values(self, t, state, sigma_r):
         W, params = self.W, self.params
-        sigma_r = self.sigma(t, state)
         if self.sigma2_known is not None or state.z is None:
             sigma2 = params.sigma2 if self.sigma2_known is None else self.sigma2_known
             phi_r = sigma2 + sigma_r
@@ -145,7 +145,7 @@ class OnlineSeSource:
         if np.any(phi_r <= 0):
             phi_r = np.maximum(phi_r, PHI_CLAMP_FACTOR * params.P)
             state.clamped = True
-        return sigma_r, phi_r, column_tau(W, phi_r, params.L / params.n)
+        return phi_r, column_tau(W, phi_r, params.L / params.n)
 
 
 def eta_denoise(s: np.ndarray, tau: np.ndarray, M: int, col_blocks: int) -> np.ndarray:
@@ -195,22 +195,21 @@ def amp_iterate(
     params = op.params
     W = op.W
 
-    if t == 0:
-        with _stage(state, "residual"):
+    # The Onsager coefficient needs sigma^t before z^t exists, so the
+    # sources give sigma from beta^t here and (if measuring residual
+    # energy) phi from z^t afterwards.
+    with _stage(state, "se_update"):
+        sigma_r = se.sigma(t, state)
+    with _stage(state, "residual"):
+        if t == 0:
             state.z = y.copy()
             adjoint = partial(op.apply_scaled_adjoint, z=state.z)
-    else:
-        # The Onsager coefficient needs sigma^t before z^t exists, so the
-        # sources give sigma from beta^t here and (if measuring residual
-        # energy) phi from z^t afterwards.
-        with _stage(state, "se_update"):
-            sigma_r = se.sigma(t, state)
-        with _stage(state, "residual"):
+        else:
             # upsilon^t = sigma^t / phi^{t-1}; state.z still holds z^{t-1}
             upsilon = sigma_r / state.phi_trace[-1]
             state.z, adjoint = op.residual(state.beta, y, upsilon, state.z)
     with _stage(state, "se_update"):
-        sigma_r, phi_r, tau_c = se.values(t, state, op)
+        phi_r, tau_c = se.values(t, state, sigma_r)
 
     scale = 2.0 if op.field == "complex" else 1.0
     S = scale * tau_c[np.newaxis, :] / phi_r[:, np.newaxis]

@@ -22,7 +22,6 @@ __all__ = [
     "MixturePrior",
     "bernoulli_gauss_prior",
     "BgBayesDenoiser",
-    "SoftThresholdDenoiser",
     "CsModel",
     "build_cs_base_matrix",
     "cs_design_matrix",
@@ -107,22 +106,6 @@ class BgBayesDenoiser:
         f = pi * kappa * s
         fprime = kappa * pi + kappa * s * s * pi * (1.0 - pi) * v / (tau * (v + tau))
         return f, fprime
-
-
-class SoftThresholdDenoiser:
-    """Soft thresholding at alpha * sqrt(tau); the classic minimax choice
-    for sparse signals when the prior is unknown."""
-
-    def __init__(self, alpha: float):
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        self.alpha = alpha
-
-    def __call__(self, s: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        s = np.asarray(s, dtype=float)
-        thresh = self.alpha * math.sqrt(tau)
-        f = np.sign(s) * np.maximum(np.abs(s) - thresh, 0.0)
-        return f, (np.abs(s) > thresh).astype(float)
 
 
 @dataclass(frozen=True)

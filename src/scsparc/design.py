@@ -2,7 +2,7 @@
 
 The design matrix has row_blocks x col_blocks blocks; block (r, c) carries
 variance W[r, c]/L per entry. Both kinds store only the blocks where
-W[r, c] != 0, in a dict keyed by (r, c) in row-major order:
+W[r, c] != 0, listed in row-major order in `_nonzero`:
 
  * dense_gaussian: explicit i.i.d. Gaussian blocks, real or complex field.
    Each row block is stored as one matrix of its nonzero blocks side by
@@ -34,7 +34,7 @@ __all__ = [
     "build_dft_design",
 ]
 
-# bytes: caps the stored dense blocks and any materialized matrix
+# bytes: caps the stored dense blocks
 MEMORY_CAP = 2 * 1024**3
 # bytes of stored rows in one chunk of a dense product: the adjoint re-reads
 # a chunk from L2 right after the forward product read it from memory
@@ -51,17 +51,10 @@ def _check_scaling(S: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return S
 
 
-def _check_bytes(nbytes: int, what: str) -> None:
-    if nbytes > MEMORY_CAP:
-        raise MemoryError(f"{what} needs {nbytes} bytes, above the cap {MEMORY_CAP}")
-
-
 class DesignOperator:
-    """Common interface: forward product, scaled adjoint, AMP residual,
-    materialize.
+    """Common interface: forward product, scaled adjoint, AMP residual.
 
-    Subclasses fill `_blocks` with one entry per nonzero block of W and
-    give its dense form through `_dense_block`.
+    Subclasses store the nonzero blocks of W, listed in `_nonzero`.
     """
 
     kind: str
@@ -86,7 +79,6 @@ class DesignOperator:
         self.cols_per_block = self.n_cols // W.cols
         # (r, c) of every nonzero block, row-major
         self._nonzero = [tuple(rc) for rc in np.argwhere(W.entries != 0.0).tolist()]
-        self._blocks: dict = {}
 
     def apply(self, beta: np.ndarray) -> np.ndarray:
         """Forward product A @ beta."""
@@ -114,18 +106,6 @@ class DesignOperator:
         z.reshape(rows, -1)[...] += upsilon[:, np.newaxis] * z_prev.reshape(rows, -1)
         return z, lambda S: self.apply_scaled_adjoint(S, z)
 
-    def _dense_block(self, r: int, c: int, block) -> np.ndarray:
-        raise NotImplementedError
-
-    def materialize(self) -> np.ndarray:
-        """Dense matrix representation (test oracle; size-capped)."""
-        _check_bytes(self.n_rows * self.n_cols * self.dtype.itemsize, "materializing")
-        nr, nc = self.rows_per_block, self.cols_per_block
-        A = np.zeros((self.n_rows, self.n_cols), dtype=self.dtype)
-        for (r, c), block in self._blocks.items():
-            A[r * nr : (r + 1) * nr, c * nc : (c + 1) * nc] = self._dense_block(r, c, block)
-        return A
-
     def _check_apply_input(self, beta: np.ndarray) -> None:
         if beta.size != self.n_cols:
             raise ValueError(f"expected input of length {self.n_cols}, got {beta.size}")
@@ -140,10 +120,9 @@ class DenseGaussianDesign(DesignOperator):
 
     Row block r is stored as one C-contiguous (rows_per_block,
     k_r * cols_per_block) matrix `_row_mats[r]`, its k_r nonzero blocks
-    side by side in column order (`_row_cols[r]`); `_blocks[(r, c)]` is a
-    view into it. Each block is drawn and scaled in one reusable buffer and
-    copied into its view, so the build holds one block beyond the stored
-    ones.
+    side by side in column order (`_row_cols[r]`). Each block is drawn and
+    scaled in one reusable buffer and copied into its place, so the build
+    holds one block beyond the stored ones.
 
     Every product runs `_sweep`, one pass over the stored rows in chunks
     of about _CHUNK_BYTES. `residual` forms each chunk's rows of z and, while
@@ -156,7 +135,9 @@ class DenseGaussianDesign(DesignOperator):
     def __init__(self, params: SparcParams, W: BaseMatrix, seed, field: str = "real"):
         super().__init__(params, W, field)
         nr, nc = self.rows_per_block, self.cols_per_block
-        _check_bytes(len(self._nonzero) * nr * nc * self.dtype.itemsize, "dense design")
+        nbytes = len(self._nonzero) * nr * nc * self.dtype.itemsize
+        if nbytes > MEMORY_CAP:
+            raise MemoryError(f"dense design needs {nbytes} bytes, above the cap {MEMORY_CAP}")
         self._row_cols = [[c for row, c in self._nonzero if row == r] for r in range(W.rows)]
         self._row_mats = [np.empty((nr, len(cols) * nc), self.dtype) for cols in self._row_cols]
         rng = np.random.default_rng(seed)
@@ -175,10 +156,6 @@ class DenseGaussianDesign(DesignOperator):
                 blk[...] = draws[0]
             else:
                 blk.real, blk.imag = draws
-            self._blocks[(r, c)] = blk
-
-    def _dense_block(self, r, c, block):
-        return block
 
     def apply(self, beta):
         self._check_apply_input(beta)
@@ -322,11 +299,6 @@ class DftDesign(DesignOperator):
         # sqrt(W/L) * sqrt(N) absorbed: fft is the unnormalized DFT,
         # i.e. sqrt(N) * unitary DFT, so only sqrt(W/L) is applied here.
         return np.sqrt(self.W.entries[r, c] / self.params.L)
-
-    def _dense_block(self, r, c, block):
-        rows, perm, phases = block
-        F = np.exp(-2j * np.pi * np.outer(rows, perm).astype(float) / self.cols_per_block)
-        return self._scale(r, c) * F * phases[np.newaxis, :]
 
     def _block_index(self):
         """Row block, column block and scale of each block in row-major

@@ -15,7 +15,6 @@ __all__ = [
     "hard_decision",
     "section_error_rate",
     "nmse",
-    "check_message_vector",
 ]
 
 
@@ -30,15 +29,6 @@ def random_message(M: int, L: int, seed) -> np.ndarray:
     idx = rng.integers(0, M, size=L)
     beta[np.arange(L) * M + idx] = 1.0
     return beta
-
-
-def check_message_vector(beta: np.ndarray, M: int) -> None:
-    """Raise ValueError unless beta has one unit entry per section."""
-    if beta.size % M != 0:
-        raise ValueError("vector length must be a multiple of M")
-    sections = beta.reshape(-1, M)
-    if not (np.all((sections == 0) | (sections == 1)) and np.all(sections.sum(axis=1) == 1)):
-        raise ValueError("every section must hold exactly one unit entry")
 
 
 def hard_decision(est: np.ndarray, M: int) -> np.ndarray:

@@ -7,7 +7,7 @@ one phase vector.
 `reference_apply` and `reference_scaled_adjoint` are the straightforward
 products over an operator's `_blocks`: one zero-filled vector and one
 unbatched FFT per nonzero block. `reference_materialize` is the dense form
-of a block dict.
+of a block dict, and `dense_form` that of either operator kind.
 """
 
 import numpy as np
@@ -51,6 +51,19 @@ def reference_materialize(params, W, blocks) -> np.ndarray:
         A[r * nr : (r + 1) * nr, c * N : (c + 1) * N] = (
             _scale(params, W, r, c) * F * phases[np.newaxis, :]
         )
+    return A
+
+
+def dense_form(op) -> np.ndarray:
+    """The dense matrix of a design operator: a DFT operator's block dict,
+    or a dense one's stored row blocks copied into place."""
+    if op.kind == "dft_fast":
+        return reference_materialize(op.params, op.W, op._blocks)
+    nr, nc = op.rows_per_block, op.cols_per_block
+    A = np.zeros((op.n_rows, op.n_cols), dtype=op.dtype)
+    for r, (cols, mat) in enumerate(zip(op._row_cols, op._row_mats)):
+        for j, c in enumerate(cols):
+            A[r * nr : (r + 1) * nr, c * nc : (c + 1) * nc] = mat[:, j * nc : (j + 1) * nc]
     return A
 
 

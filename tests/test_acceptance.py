@@ -36,6 +36,7 @@ from scsparc.harness import (
 from scsparc.message import random_message
 from scsparc.params import CouplingParams, SparcParams, build_base_matrix
 from scsparc.state_evolution import asymptotic_se, progression_report, run_se
+from design_oracles import dense_form
 
 SNR = 15.0
 SNR_DB = 10.0 * math.log10(SNR)
@@ -150,7 +151,7 @@ def test_criterion_02_ser_nmse_inequality():
 
 
 def test_criterion_03_operator_equivalence():
-    """apply / scaled adjoint vs materialized matrix, both operator kinds."""
+    """apply / scaled adjoint vs the dense matrix, both operator kinds."""
     base = build_base_matrix(CouplingParams(2, 4), 1.0)
     params = SparcParams(n=40, M=4, L=8, base=base, P=1.0, sigma2=0.1)
     assert params.n * params.M * params.L <= 2**16
@@ -162,7 +163,7 @@ def test_criterion_03_operator_equivalence():
         build_gaussian_design(params, base, seed=0, field="complex"),
         build_dft_design(params_dft, base, seed=0),
     ):
-        A = op.materialize()
+        A = dense_form(op)
         cplx = op.field == "complex"
         S = rng.uniform(0.5, 2.0, size=(base.rows, base.cols))
         S_full = np.repeat(

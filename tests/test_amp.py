@@ -23,6 +23,7 @@ from scsparc.design import build_dft_design, build_gaussian_design
 from scsparc.message import hard_decision, random_message
 from scsparc.params import CouplingParams, SparcParams, build_base_matrix
 from scsparc.state_evolution import run_se
+from design_oracles import dense_form
 
 
 def small_setup(M=4, L=8, omega=2, Lambda=4, n=40, snr=15.0, seed=0, field="real"):
@@ -67,7 +68,9 @@ def test_eta_denoise_properties():
 def test_online_estimates_at_start():
     params, base, op, beta, y = small_setup()
     state = DecoderState.initial(op)
-    sigma_r, phi_r, tau_c = OnlineSeSource(base, params, None).values(0, state, op)
+    se = OnlineSeSource(base, params, None)
+    sigma_r = se.sigma(0, state)
+    phi_r, tau_c = se.values(0, state, sigma_r)
     # beta = 0: sigma_r is the full row average of W
     assert np.allclose(sigma_r, base.entries.mean(axis=1))
     assert np.allclose(phi_r, params.sigma2 + sigma_r)
@@ -80,7 +83,9 @@ def test_online_estimates_at_truth():
     params, base, op, beta, y = small_setup()
     state = DecoderState.initial(op)
     state.beta = beta.astype(float)
-    sigma_r, phi_r, _ = OnlineSeSource(base, params, params.sigma2).values(0, state, op)
+    se = OnlineSeSource(base, params, params.sigma2)
+    sigma_r = se.sigma(0, state)
+    phi_r, _ = se.values(0, state, sigma_r)
     assert np.allclose(sigma_r, 0.0)
     assert np.allclose(phi_r, params.sigma2)
 
@@ -88,7 +93,7 @@ def test_online_estimates_at_truth():
 def test_amp_iterate_matches_dense_reference():
     # oracle: straight-line reference of one full iteration
     params, base, op, beta, y = small_setup(seed=3)
-    A = op.materialize()
+    A = dense_form(op)
     se = OnlineSeSource(base, params, params.sigma2)
 
     state = DecoderState.initial(op)
@@ -144,7 +149,8 @@ def test_decode_offline_matches_trajectory_source():
     assert np.allclose(diag.phi_trace[0], traj.phi[0])
     state = DecoderState.initial(op)
     for t in range(traj.iterations):
-        sigma_r, phi_r, tau_c = se.values(t, state, op)
+        sigma_r = se.sigma(t, state)
+        phi_r, tau_c = se.values(t, state, sigma_r)
         assert np.array_equal(sigma_r, traj.phi[t] - params.sigma2)
         assert np.array_equal(phi_r, traj.phi[t])
         assert np.array_equal(tau_c, traj.tau[t])
@@ -153,8 +159,10 @@ def test_decode_offline_matches_trajectory_source():
     phi_fp = params.sigma2 + sigma_fp
     tau_fp = (params.L / params.n) / (base.entries / phi_fp[:, None]).mean(axis=0)
     for t in (traj.iterations, traj.iterations + 5):
-        for got, want in zip(se.values(t, state, op), (sigma_fp, phi_fp, tau_fp)):
-            assert np.array_equal(got, want)
+        sigma_r = se.sigma(t, state)
+        phi_r, tau_c = se.values(t, state, sigma_r)
+        assert np.array_equal(sigma_r, sigma_fp)
+        assert np.array_equal(phi_r, phi_fp) and np.array_equal(tau_c, tau_fp)
 
 
 def test_decode_complex_field():
@@ -258,7 +266,7 @@ def test_amp_iterate_residual_matches_repeat_formula(operator):
     # upsilon^t = sigma^t / phi^{t-1}, with sigma^t from beta^t
     probe = DecoderState.initial(op)
     probe.beta = beta_t
-    sigma_r = se.values(0, probe, op)[0]
+    sigma_r = se.sigma(0, probe)
     upsilon = sigma_r / phi_prev
     ref = y - op.apply(beta_t) + np.repeat(upsilon, op.rows_per_block) * z_prev
     assert np.array_equal(state.z, ref)
@@ -314,3 +322,35 @@ def test_amp_iterate_adds_the_real_part_of_the_adjoint():
     s = beta_t + op.apply_scaled_adjoint(S, state.z)
     assert np.iscomplexobj(s)
     assert np.array_equal(state.beta, eta_denoise(s, tau_c, params.M, base.cols))
+
+
+def counting(source_cls):
+    """`source_cls` with a count of its `sigma` calls."""
+
+    class Counting(source_cls):
+        sigma_calls = 0
+
+        def sigma(self, t, state):
+            self.sigma_calls += 1
+            return super().sigma(t, state)
+
+    return Counting
+
+
+def test_online_source_sigma_runs_once_per_iteration():
+    params, base, op, beta, y = small_setup(seed=5)
+    for sigma2_known in (None, params.sigma2):
+        se = counting(OnlineSeSource)(base, params, sigma2_known)
+        _, diag = decode(op, y, se, AmpConfig(t_max=6))
+        assert diag.iterations >= 2
+        assert se.sigma_calls == diag.iterations
+
+
+def test_offline_source_sigma_runs_once_per_iteration():
+    # past the 3-step schedule the source gives its fixed point
+    params, base, op, beta, y = small_setup(M=8, L=16, n=120, seed=5)
+    traj = run_se(base, params, t_max=3, mc_samples=2000, seed=0)
+    se = counting(OfflineSeSource)(traj, base, params)
+    _, diag = decode(op, y, se, AmpConfig(t_max=6))
+    assert diag.iterations > traj.iterations
+    assert se.sigma_calls == diag.iterations

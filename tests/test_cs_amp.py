@@ -9,7 +9,6 @@ from scsparc.cs_amp import (
     BgBayesDenoiser,
     CsModel,
     MixturePrior,
-    SoftThresholdDenoiser,
     bernoulli_gauss_prior,
     build_cs_base_matrix,
     cs_amp_decode,
@@ -76,15 +75,6 @@ def test_bg_denoiser_derivative_finite_difference():
     f_lo, _ = den(grid - h, tau)
     fd = (f_hi - f_lo) / (2 * h)
     assert np.max(np.abs(fp - fd)) < 1e-6
-
-
-def test_soft_threshold_denoiser():
-    den = SoftThresholdDenoiser(1.5)
-    tau = 4.0  # threshold 3.0
-    s = np.array([-5.0, -1.0, 0.0, 2.0, 7.0])
-    f, fp = den(s, tau)
-    assert np.allclose(f, [-2.0, 0.0, 0.0, 0.0, 4.0])
-    assert np.allclose(fp, [1.0, 0.0, 0.0, 0.0, 1.0])
 
 
 def test_cs_base_matrix_columns_sum_to_one():

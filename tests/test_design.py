@@ -16,9 +16,9 @@ from scsparc.params import (
     derive_code_params,
 )
 from design_oracles import (
+    dense_form,
     reference_apply,
     reference_dft_blocks,
-    reference_materialize,
     reference_scaled_adjoint,
 )
 
@@ -31,7 +31,7 @@ def small_params(M=4, L=8, omega=2, Lambda=4, n=40, sigma2=0.1, P=1.0):
 def test_dense_block_structure():
     params, W = small_params()
     op = build_gaussian_design(params, W, seed=0)
-    A = op.materialize()
+    A = dense_form(op)
     nr, nc = op.rows_per_block, op.cols_per_block
     for r in range(W.rows):
         for c in range(W.cols):
@@ -63,7 +63,7 @@ def test_dense_draw_order(field, rho):
                     rng.standard_normal((nr, nc)) + 1j * rng.standard_normal((nr, nc))
                 )
             ref[r * nr : (r + 1) * nr, c * nc : (c + 1) * nc] = blk
-    assert np.array_equal(op.materialize(), ref)
+    assert np.array_equal(dense_form(op), ref)
 
 
 def test_dense_block_variance():
@@ -71,7 +71,7 @@ def test_dense_block_variance():
     base = build_base_matrix(CouplingParams(1, 1), 1.0)
     params = SparcParams(n=200, M=4, L=50, base=base, P=1.0, sigma2=0.1)
     op = build_gaussian_design(params, base, seed=3)
-    A = op.materialize()
+    A = dense_form(op)
     assert A.shape == (200, 200)
     var = A.var()
     expected = base.entries[0, 0] / params.L
@@ -82,7 +82,7 @@ def test_apply_matches_dense_product():
     params, W = small_params()
     for seed in range(3):
         op = build_gaussian_design(params, W, seed=seed)
-        A = op.materialize()
+        A = dense_form(op)
         rng = np.random.default_rng(seed + 100)
         for _ in range(10):
             beta = rng.standard_normal(op.n_cols)
@@ -101,7 +101,7 @@ def test_apply_zero_input():
 def test_scaled_adjoint_matches_dense():
     params, W = small_params()
     op = build_gaussian_design(params, W, seed=1)
-    A = op.materialize()
+    A = dense_form(op)
     nr, nc = op.rows_per_block, op.cols_per_block
     rng = np.random.default_rng(7)
     S = rng.uniform(0.5, 2.0, size=(W.rows, W.cols))
@@ -128,7 +128,7 @@ def test_dft_entry_magnitudes():
     # every entry of a nonzero block has |entry|^2 = W_rc/L exactly
     params, W = small_params(M=4, L=8, omega=2, Lambda=4, n=10)
     op = build_dft_design(params, W, seed=0)
-    A = op.materialize()
+    A = dense_form(op)
     nr, nc = op.rows_per_block, op.cols_per_block
     for r in range(W.rows):
         for c in range(W.cols):
@@ -143,7 +143,7 @@ def test_dft_entry_magnitudes():
 def test_dft_row_norms():
     params, W = small_params(M=4, L=8, omega=2, Lambda=4, n=10)
     op = build_dft_design(params, W, seed=2)
-    A = op.materialize()
+    A = dense_form(op)
     nr, nc = op.rows_per_block, op.cols_per_block
     for r in range(W.rows):
         for c in range(W.cols):
@@ -157,7 +157,7 @@ def test_dft_row_norms():
 def test_dft_apply_and_adjoint_match_dense():
     params, W = small_params(M=4, L=8, omega=2, Lambda=4, n=10)
     op = build_dft_design(params, W, seed=4)
-    A = op.materialize()
+    A = dense_form(op)
     rng = np.random.default_rng(0)
     for _ in range(10):
         beta = rng.standard_normal(op.n_cols) + 1j * rng.standard_normal(op.n_cols)
@@ -196,10 +196,10 @@ def test_adjoint_inner_product_identity():
 
 def test_dft_determinism():
     params, W = small_params(M=4, L=8, omega=2, Lambda=4, n=10)
-    a = build_dft_design(params, W, seed=6).materialize()
-    b = build_dft_design(params, W, seed=6).materialize()
+    a = dense_form(build_dft_design(params, W, seed=6))
+    b = dense_form(build_dft_design(params, W, seed=6))
     assert np.array_equal(a, b)
-    c = build_dft_design(params, W, seed=7).materialize()
+    c = dense_form(build_dft_design(params, W, seed=7))
     assert not np.array_equal(a, c)
 
 
@@ -277,7 +277,7 @@ def test_dense_residual_is_its_two_products_and_matches_dense(monkeypatch, rho, 
     monkeypatch.setattr(design, "_CHUNK_BYTES", chunk_bytes)
     beta, y, upsilon, z_prev, S = residual_inputs(op, seed=8)
     z, adjoint = assert_residual_is_its_two_products(op, beta, y, upsilon, z_prev, S)
-    A = op.materialize()
+    A = dense_form(op)
     ref = y - A @ beta + np.repeat(upsilon, op.rows_per_block) * z_prev
     assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
     S_full = np.repeat(np.repeat(S, op.rows_per_block, axis=0), op.cols_per_block, axis=1)
@@ -321,7 +321,7 @@ def test_dense_build_holds_one_block_beyond_the_stored_ones(field):
         tracemalloc.stop()
     block = op.rows_per_block * op.cols_per_block * op.dtype.itemsize
     stored = sum(mat.nbytes for mat in op._row_mats)
-    assert len(op._blocks) == 15 and stored == 15 * block
+    assert len(op._nonzero) == 15 and stored == 15 * block
     assert peak <= stored + 1.1 * block
 
 
@@ -405,7 +405,6 @@ def test_dft_draws_match_per_block_oracle(shape, seed):
         for got, want, stacked in zip(block, ref[key], (op._rows, op._perm, op._phases)):
             assert np.shares_memory(got, stacked)
             assert np.array_equal(got, want)
-    assert np.array_equal(op.materialize(), reference_materialize(params, W, ref))
 
 
 class ConjugatedPhases(design.DftDesign):

@@ -9,6 +9,7 @@ from scsparc.design import build_dft_design, build_gaussian_design
 from scsparc.message import hard_decision, nmse, random_message
 from scsparc.params import CouplingParams, SparcParams, build_base_matrix
 from scsparc.state_evolution import SectionExpectation
+from design_oracles import dense_form
 from se_oracles import LogsumexpSectionExpectation
 
 coupling_st = st.tuples(
@@ -89,7 +90,7 @@ def test_operators_match_their_dense_form(ct, M, sections, k, seed):
         build_gaussian_design(params, W, seed, field="complex"),
         build_dft_design(params, W, seed),
     ):
-        A = op.materialize()
+        A = dense_form(op)
 
         def draw(size):
             x = rng.standard_normal(size)

@@ -5,6 +5,12 @@ from pathlib import Path
 
 import scsparc
 
+ROOT = Path(__file__).resolve().parent.parent
+# public names that only the acceptance tests call, as the references that
+# criterion 5 (`asymptotic_se`) and criterion 1 (`compare_to_se`) compare
+# the simulation against
+TEST_REFERENCES = {"asymptotic_se", "compare_to_se"}
+
 
 def test_package_has_no_assert_statements():
     # validation must hold under `python -O`, which strips asserts
@@ -17,3 +23,47 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    # a reference is a load of the name, an attribute of that name, or a
+    # string equal to it (the benchmark patches methods by name); neither
+    # its own definition, its `__all__` entry nor a re-export counts
+    package = sorted((ROOT / "src" / "scsparc").glob("*.py"))
+    bench = sorted((ROOT / "bench").glob("*.py"))
+    assert package and bench
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in package + bench}
+    exported = {
+        elt.value: path
+        for path in package
+        if path.name != "__init__.py"
+        for top in trees[path].body
+        if is_all(top)
+        for elt in top.value.elts
+    }
+    assert TEST_REFERENCES <= set(exported)
+    used = set()
+    for path, tree in trees.items():
+        for top in tree.body:
+            if is_all(top):
+                continue
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value
+                else:
+                    continue
+                if name != own or exported.get(name) != path:
+                    used.add(name)
+    unused = sorted(set(exported) - used - TEST_REFERENCES)
+    assert not unused, f"public names that only tests use: {unused}"

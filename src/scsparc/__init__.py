@@ -10,7 +10,7 @@ from .amp import (
     decode,
     eta_denoise,
 )
-from .channel import ChannelParams, ebn0_db, snr_from_db, transmit
+from .channel import ebn0_db, snr_from_db, transmit
 from .cs_amp import (
     BgBayesDenoiser,
     CsModel,

@@ -120,7 +120,8 @@ class OnlineSeSource:
     sigma2 + sigma_r when the noise variance is known (or before the first
     residual exists), otherwise the empirical residual energy per row
     block; tau_c follows from phi. A nonpositive phi_r is clamped to
-    PHI_CLAMP_FACTOR * P and marks the state as clamped.
+    PHI_CLAMP_FACTOR times the unit signal power and marks the state as
+    clamped.
     """
 
     def __init__(self, W: BaseMatrix, params: SparcParams, sigma2_known: float | None):
@@ -143,7 +144,7 @@ class OnlineSeSource:
         else:
             phi_r = (np.abs(state.z) ** 2).reshape(W.rows, -1).mean(axis=1)
         if np.any(phi_r <= 0):
-            phi_r = np.maximum(phi_r, PHI_CLAMP_FACTOR * params.P)
+            phi_r = np.maximum(phi_r, PHI_CLAMP_FACTOR)
             state.clamped = True
         return phi_r, column_tau(W, phi_r, params.L / params.n)
 

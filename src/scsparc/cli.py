@@ -99,16 +99,23 @@ def _se_csv_lines(traj, params):
     return cols, rows
 
 
-def _cmd_se(args) -> int:
+def _first_point(args):
+    """The config and its first sweep point, with a warning on stderr
+    when the sweep has more points than the command reports."""
     cfg = ExperimentConfig.from_file(args.config)
     if len(cfg.sweep) > 1:
         print(
-            f"scsparc se: the sweep has {len(cfg.sweep)} points; "
+            f"scsparc {args.command}: the sweep has {len(cfg.sweep)} points; "
             "only point 0 is emitted",
             file=sys.stderr,
         )
-    traj = _point_se_trajectory(cfg, *cfg.sweep[0])
-    params, _ = cfg.code_params(*cfg.sweep[0])
+    return cfg, cfg.sweep[0]
+
+
+def _cmd_se(args) -> int:
+    cfg, point = _first_point(args)
+    traj = _point_se_trajectory(cfg, *point)
+    params, _ = cfg.code_params(*point)
     cols, rows = _se_csv_lines(traj, params)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -124,9 +131,8 @@ def _cmd_se(args) -> int:
 
 
 def _cmd_progression(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
-    snr_db, rate_bits = cfg.sweep[0]
-    params, _ = cfg.code_params(snr_db, rate_bits)
+    cfg, point = _first_point(args)
+    params, _ = cfg.code_params(*point)
     report = progression_report(
         R=params.R, snr=params.snr, omega=cfg.omega, Lambda=cfg.Lambda, M=cfg.M
     )

@@ -156,7 +156,7 @@ class CsModel:
 def build_cs_base_matrix(coupling: CouplingParams) -> np.ndarray:
     """Coupled base matrix with unit column sums (each column averages
     1/rows), obtained by rescaling the unit-power band construction."""
-    base = build_base_matrix(coupling, 1.0)
+    base = build_base_matrix(coupling)
     return base.entries / base.rows
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from .amp import AmpConfig, OfflineSeSource, OnlineSeSource, decode
-from .channel import ChannelParams, ebn0_db, snr_from_db, transmit
+from .channel import ebn0_db, snr_from_db, transmit
 from .design import build_dft_design, build_gaussian_design
 from .message import nmse, random_message, section_error_rate
 from .params import LN2, CouplingParams, derive_code_params
@@ -60,8 +60,8 @@ OPERATORS = ("dense", "dft")
 # the keys each config section accepts (sim's are ExperimentConfig field
 # names); from_mapping rejects any other
 _SECTION_KEYS = {
-    "code": ("M", "L", "omega", "Lambda", "rho", "rate_bits", "P"),
-    "channel": ("snr_db", "sigma2", "field"),
+    "code": ("M", "L", "omega", "Lambda", "rho", "rate_bits"),
+    "channel": ("snr_db", "field"),
     "sim": ("trials", "seed", "se_mode", "operator", "t_max", "stop_tol", "stop_window", "mc_samples"),
 }
 _REQUIRED_CODE_KEYS = ("M", "L", "omega", "Lambda", "rate_bits")
@@ -78,7 +78,6 @@ class ExperimentConfig:
     rho: float
     rate_bits: tuple  # sweep values
     snr_db: tuple  # sweep values
-    P: float = 1.0
     field_kind: str = "real"
     trials: int = 10
     seed: int = 0
@@ -98,6 +97,12 @@ class ExperimentConfig:
             raise ValueError(f"operator must be one of {OPERATORS}, got {self.operator!r}")
         if self.field_kind not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field_kind!r}")
+        if self.t_max < 1:
+            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
+        if not self.rate_bits or not all(math.isfinite(r) and r > 0 for r in self.rate_bits):
+            raise ValueError(f"rate_bits must list positive finite values, got {self.rate_bits}")
+        if not self.snr_db or not all(math.isfinite(s) for s in self.snr_db):
+            raise ValueError(f"snr_db must list finite values, got {self.snr_db}")
         if len(self.rate_bits) > 1 and len(self.snr_db) > 1:
             raise ValueError("only one of rate_bits / snr_db may be a sweep list")
 
@@ -119,19 +124,12 @@ class ExperimentConfig:
         missing = [k for k in _REQUIRED_CODE_KEYS if k not in code]
         if missing:
             raise ValueError(f"config section 'code' is missing {missing}")
-        if "snr_db" not in channel and "sigma2" not in channel:
-            raise ValueError("config section 'channel' needs snr_db or sigma2")
+        if "snr_db" not in channel:
+            raise ValueError("config section 'channel' needs snr_db")
 
         def listify(x):
             return tuple(x) if isinstance(x, (list, tuple)) else (x,)
 
-        if "snr_db" in channel:
-            snr_db = listify(channel["snr_db"])
-        else:
-            P = float(code.get("P", 1.0))
-            snr_db = tuple(
-                10.0 * math.log10(P / s2) for s2 in listify(channel["sigma2"])
-            )
         kwargs = dict(
             M=int(code["M"]),
             L=int(code["L"]),
@@ -139,8 +137,7 @@ class ExperimentConfig:
             Lambda=int(code["Lambda"]),
             rho=float(code.get("rho", 0.0)),
             rate_bits=listify(code["rate_bits"]),
-            snr_db=snr_db,
-            P=float(code.get("P", 1.0)),
+            snr_db=listify(channel["snr_db"]),
             field_kind=str(channel.get("field", "real")),
         )
         kwargs.update(sim)
@@ -162,10 +159,10 @@ class ExperimentConfig:
 
     def code_params(self, snr_db: float, rate_bits: float):
         coupling = CouplingParams(self.omega, self.Lambda, self.rho)
-        sigma2 = self.P / snr_from_db(snr_db)
+        sigma2 = 1.0 / snr_from_db(snr_db)
         need_even = self.field_kind == "complex" or self.operator == "dft"
         params = derive_code_params(
-            rate_bits * LN2, self.M, coupling, self.L, self.P, sigma2, even=need_even
+            rate_bits * LN2, self.M, coupling, self.L, sigma2, even=need_even
         )
         return params, params.base
 
@@ -204,8 +201,7 @@ def run_trial(
 
     beta = random_message(params.M, params.L, _trial_seed(cfg.seed, point, trial, _ROLE_MESSAGE))
     x = op.apply(beta)
-    ch = ChannelParams(sigma2=params.sigma2, P=params.P, field=op.field)
-    y = transmit(x, ch, _trial_seed(cfg.seed, point, trial, _ROLE_NOISE))
+    y = transmit(x, params.sigma2, _trial_seed(cfg.seed, point, trial, _ROLE_NOISE))
 
     if cfg.se_mode == "offline":
         if se_traj is None:

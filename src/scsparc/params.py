@@ -5,6 +5,7 @@ A spatially coupled SPARC is defined by a nonnegative R x C base matrix W
 code dimensions (n, M, L). The band-diagonal family used here is
 parameterised by a coupling width omega, a coupling length Lambda, and a
 fraction rho of the power spread uniformly over the off-band entries.
+Codes have unit average power, so the noise variance alone sets the snr.
 """
 
 from __future__ import annotations
@@ -71,13 +72,10 @@ class CouplingParams:
 
 @dataclass(frozen=True)
 class BaseMatrix:
-    """R x C variance profile with average power P.
-
-    Entries are nonnegative and satisfy mean(W) == P (relative 1e-12).
-    """
+    """R x C variance profile; nonnegative entries with mean 1 for a
+    unit-power code."""
 
     entries: np.ndarray
-    avg_power: float
 
     def __post_init__(self):
         W = np.asarray(self.entries, dtype=float)
@@ -85,11 +83,6 @@ class BaseMatrix:
             raise ValueError("base matrix must be 2-dimensional")
         if np.any(W < 0):
             raise ValueError("base matrix entries must be nonnegative")
-        if not np.isclose(W.mean(), self.avg_power, rtol=1e-12, atol=0):
-            raise ValueError(
-                f"mean of base matrix entries ({W.mean()!r}) must equal "
-                f"the average power ({self.avg_power!r})"
-            )
         W = W.copy()
         W.setflags(write=False)
         object.__setattr__(self, "entries", W)
@@ -103,26 +96,24 @@ class BaseMatrix:
         return self.entries.shape[1]
 
 
-def build_base_matrix(coupling: CouplingParams, P: float) -> BaseMatrix:
-    """Construct the (omega, Lambda, rho) base matrix with average power P.
+def build_base_matrix(coupling: CouplingParams) -> BaseMatrix:
+    """Construct the (omega, Lambda, rho) base matrix of unit average power.
 
     Column c has omega band entries (rows c..c+omega-1) equal to
-    (1-rho)*P*(Lambda+omega-1)/omega; every other entry equals
-    rho*P*(Lambda+omega-1)/(Lambda-1). The mean over all entries is P.
+    (1-rho)*(Lambda+omega-1)/omega; every other entry equals
+    rho*(Lambda+omega-1)/(Lambda-1). The mean over all entries is 1.
     """
-    if P <= 0:
-        raise ValueError(f"average power must be positive, got {P}")
     omega, Lambda, rho = coupling.omega, coupling.Lambda, coupling.rho
     rows = Lambda + omega - 1
-    band_val = (1.0 - rho) * P * rows / omega
+    band_val = (1.0 - rho) * rows / omega
     if rho == 0.0:
         off_val = 0.0
     else:
-        off_val = rho * P * rows / (Lambda - 1)
+        off_val = rho * rows / (Lambda - 1)
     W = np.full((rows, Lambda), off_val)
     for c in range(Lambda):
         W[c : c + omega, c] = band_val
-    return BaseMatrix(entries=W, avg_power=P)
+    return BaseMatrix(entries=W)
 
 
 @dataclass(frozen=True)
@@ -131,16 +122,15 @@ class SparcParams:
 
     n counts real channel dimensions (a complex-field code uses n/2 complex
     symbols). R is the rate in nats per real dimension and satisfies
-    R = L*ln(M)/n. P and sigma2 are the per-dimension average power and
-    noise variance (per complex symbol in the complex field, which leaves
-    snr = P/sigma2 unchanged).
+    R = L*ln(M)/n. The code has unit average power per dimension, so the
+    noise variance sigma2 (per complex symbol in the complex field) alone
+    sets snr = 1/sigma2.
     """
 
     n: int
     M: int
     L: int
     base: BaseMatrix
-    P: float
     sigma2: float
     R: float = field(init=False)
 
@@ -155,8 +145,8 @@ class SparcParams:
             raise ValueError(
                 f"number of row blocks ({self.base.rows}) must divide n ({self.n})"
             )
-        if self.P <= 0 or self.sigma2 <= 0:
-            raise ValueError("P and sigma2 must be positive")
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         object.__setattr__(self, "R", self.L * math.log(self.M) / self.n)
 
     @property
@@ -173,7 +163,7 @@ class SparcParams:
 
     @property
     def snr(self) -> float:
-        return self.P / self.sigma2
+        return 1.0 / self.sigma2
 
     @property
     def rate_bits(self) -> float:
@@ -185,7 +175,6 @@ def derive_code_params(
     M: int,
     coupling: CouplingParams,
     L: int,
-    P: float,
     sigma2: float,
     even: bool = False,
 ) -> SparcParams:
@@ -209,5 +198,4 @@ def derive_code_params(
     n = int(round(n_raw / unit)) * unit
     if n == 0:
         raise ValueError("target rate too large: rounded code length is zero")
-    base = build_base_matrix(coupling, P)
-    return SparcParams(n=n, M=M, L=L, base=base, P=P, sigma2=sigma2)
+    return SparcParams(n=n, M=M, L=L, base=build_base_matrix(coupling), sigma2=sigma2)

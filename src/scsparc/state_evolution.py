@@ -214,7 +214,6 @@ class SeTrajectory:
     psi: np.ndarray
     phi: np.ndarray
     tau: np.ndarray
-    threshold: float
     reached_threshold: bool
 
     @property
@@ -256,7 +255,6 @@ def run_se(
         psi=np.array(psi_hist),
         phi=np.array(phi_hist).reshape(t, W.rows),
         tau=np.array(tau_hist).reshape(t, W.cols),
-        threshold=threshold,
         reached_threshold=reached,
     )
 

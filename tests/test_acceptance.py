@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from scsparc.amp import AmpConfig, OnlineSeSource, decode
-from scsparc.channel import ChannelParams, transmit
+from scsparc.channel import transmit
 from scsparc.cs_amp import (
     BgBayesDenoiser,
     CsModel,
@@ -134,14 +134,14 @@ def test_criterion_02_ser_nmse_inequality():
     """SER <= 4*NMSE on every decoded trial: zero violations in 10^3."""
     rng = np.random.default_rng(0)
     violations = 0
-    base = build_base_matrix(CouplingParams(2, 4), 1.0)
+    base = build_base_matrix(CouplingParams(2, 4))
     for trial in range(1000):
         M = int(rng.choice([2, 4]))
         snr = float(rng.uniform(2.0, 20.0))
-        params = SparcParams(n=40, M=M, L=8, base=base, P=1.0, sigma2=1.0 / snr)
+        params = SparcParams(n=40, M=M, L=8, base=base, sigma2=1.0 / snr)
         op = build_gaussian_design(params, base, seed=trial)
         beta = random_message(M, 8, seed=trial + 1)
-        y = transmit(op.apply(beta), ChannelParams(params.sigma2, 1.0), seed=trial + 2)
+        y = transmit(op.apply(beta), params.sigma2, seed=trial + 2)
         se = OnlineSeSource(base, params, params.sigma2)
         decoded, diag = decode(op, y, se, AmpConfig(t_max=8), truth=beta)
         if diag.ser > 4.0 * diag.nmse_overall + 1e-12:
@@ -152,10 +152,10 @@ def test_criterion_02_ser_nmse_inequality():
 
 def test_criterion_03_operator_equivalence():
     """apply / scaled adjoint vs the dense matrix, both operator kinds."""
-    base = build_base_matrix(CouplingParams(2, 4), 1.0)
-    params = SparcParams(n=40, M=4, L=8, base=base, P=1.0, sigma2=0.1)
+    base = build_base_matrix(CouplingParams(2, 4))
+    params = SparcParams(n=40, M=4, L=8, base=base, sigma2=0.1)
     assert params.n * params.M * params.L <= 2**16
-    params_dft = SparcParams(n=10, M=4, L=8, base=base, P=1.0, sigma2=0.1)
+    params_dft = SparcParams(n=10, M=4, L=8, base=base, sigma2=0.1)
     rng = np.random.default_rng(1)
     worst_fwd = worst_adj = worst_ip = 0.0
     for op in (
@@ -200,15 +200,16 @@ def test_criterion_03_operator_equivalence():
 
 
 def test_criterion_04_power_constraint():
-    """Empirical ||A beta||^2 / n over 100 codewords within 2% of P."""
-    base = build_base_matrix(CouplingParams(3, 8), 1.0)
-    params = SparcParams(n=400, M=8, L=32, base=base, P=1.0, sigma2=0.1)
+    """Empirical ||A beta||^2 / n over 100 codewords within 2% of the unit
+    average power."""
+    base = build_base_matrix(CouplingParams(3, 8))
+    params = SparcParams(n=400, M=8, L=32, base=base, sigma2=0.1)
     total = 0.0
     for seed in range(100):
         op = build_gaussian_design(params, base, seed=seed)
         beta = random_message(params.M, params.L, seed=seed + 5000)
         total += np.sum(np.abs(op.apply(beta)) ** 2) / params.n
-    rel = abs(total / 100 - params.P) / params.P
+    rel = abs(total / 100 - 1.0)
     report("4", rel < 0.02, f"mean power/dimension off by {100 * rel:.2f}% (tol 2%)")
     assert rel < 0.02
 
@@ -245,7 +246,7 @@ def test_criterion_05_asymptotic_wave():
     termination within ceil(Lambda/(2g)); 10 randomized feasible configs."""
     violations = []
     for omega, Lambda, snr, R, rep in feasible_wave_configs(10):
-        W = build_base_matrix(CouplingParams(omega, Lambda), 1.0)
+        W = build_base_matrix(CouplingParams(omega, Lambda))
         hist = asymptotic_se(W, R=R, sigma2=1.0 / snr)
         g_floor = math.floor(rep.g)
         # termination: all blocks decoded within the iteration bound
@@ -282,7 +283,7 @@ def test_criterion_06_one_shot_rate():
     coupling = CouplingParams(6, 32)
     vt = coupling.vartheta
     R = 0.9 * (1.0 - 0.0) / (2.0 + delta) * SNR / (1.0 + vt * SNR)
-    W = build_base_matrix(coupling, 1.0)
+    W = build_base_matrix(coupling)
     hist = asymptotic_se(W, R=R, sigma2=1.0 / SNR)
     ok = bool(np.all(hist[1] == 0.0))
     report("6", ok, f"psi after one iteration: max {hist[1].max():.0f} (need all 0)")
@@ -409,11 +410,7 @@ def _trial_with_diag(cfg, trial, t_max=None):
     params, W = cfg.code_params(snr_db, rate_bits)
     op = build_dft_design(params, W, _trial_seed(cfg.seed, 0, trial, _ROLE_DESIGN))
     beta = random_message(params.M, params.L, _trial_seed(cfg.seed, 0, trial, _ROLE_MESSAGE))
-    y = transmit(
-        op.apply(beta),
-        ChannelParams(params.sigma2, params.P, "complex"),
-        _trial_seed(cfg.seed, 0, trial, _ROLE_NOISE),
-    )
+    y = transmit(op.apply(beta), params.sigma2, _trial_seed(cfg.seed, 0, trial, _ROLE_NOISE))
     sigma2_known = params.sigma2 if cfg.se_mode == "online_known_sigma" else None
     se = OnlineSeSource(W, params, sigma2_known)
     amp_cfg = (
@@ -476,7 +473,7 @@ def test_criterion_09_cs_amp_tracking():
 def test_criterion_10_determinism():
     """Identical config + seed root produce byte-identical CSV output."""
     raw = dict(
-        code=dict(M=4, L=16, omega=2, Lambda=4, rate_bits=1.0, P=1.0),
+        code=dict(M=4, L=16, omega=2, Lambda=4, rate_bits=1.0),
         channel=dict(snr_db=[8.0, 12.0]),
         sim=dict(trials=4, seed=11, se_mode="online_known_sigma", operator="dense", t_max=10),
     )

@@ -18,7 +18,7 @@ from scsparc.amp import (
     eta_denoise,
     should_stop,
 )
-from scsparc.channel import ChannelParams, transmit
+from scsparc.channel import transmit
 from scsparc.design import build_dft_design, build_gaussian_design
 from scsparc.message import hard_decision, random_message
 from scsparc.params import CouplingParams, SparcParams, build_base_matrix
@@ -27,12 +27,11 @@ from design_oracles import dense_form
 
 
 def small_setup(M=4, L=8, omega=2, Lambda=4, n=40, snr=15.0, seed=0, field="real"):
-    base = build_base_matrix(CouplingParams(omega, Lambda), 1.0)
-    params = SparcParams(n=n, M=M, L=L, base=base, P=1.0, sigma2=1.0 / snr)
+    base = build_base_matrix(CouplingParams(omega, Lambda))
+    params = SparcParams(n=n, M=M, L=L, base=base, sigma2=1.0 / snr)
     op = build_gaussian_design(params, base, seed=seed, field=field)
     beta = random_message(M, L, seed=seed + 1)
-    ch = ChannelParams(params.sigma2, params.P, field=field)
-    y = transmit(op.apply(beta), ch, seed=seed + 2)
+    y = transmit(op.apply(beta), params.sigma2, seed=seed + 2)
     return params, base, op, beta, y
 
 
@@ -127,8 +126,8 @@ def test_amp_iterate_matches_dense_reference():
 
 def test_noiseless_single_block_decodes_fast():
     # oracle: with no noise and a huge snr proxy, AMP locks onto the truth
-    base = build_base_matrix(CouplingParams(1, 1), 1.0)
-    params = SparcParams(n=60, M=2, L=2, base=base, P=1.0, sigma2=1e-8)
+    base = build_base_matrix(CouplingParams(1, 1))
+    params = SparcParams(n=60, M=2, L=2, base=base, sigma2=1e-8)
     op = build_gaussian_design(params, base, seed=0)
     beta = random_message(2, 2, seed=1)
     y = op.apply(beta)  # noiseless
@@ -176,12 +175,11 @@ def test_decode_complex_field():
 
 
 def test_decode_dft_operator():
-    base = build_base_matrix(CouplingParams(2, 4), 1.0)
-    params = SparcParams(n=40, M=4, L=8, base=base, P=1.0, sigma2=1.0 / 20)
+    base = build_base_matrix(CouplingParams(2, 4))
+    params = SparcParams(n=40, M=4, L=8, base=base, sigma2=1.0 / 20)
     op = build_dft_design(params, base, seed=11)
     beta = random_message(4, 8, seed=12)
-    ch = ChannelParams(params.sigma2, params.P, field="complex")
-    y = transmit(op.apply(beta), ch, seed=13)
+    y = transmit(op.apply(beta), params.sigma2, seed=13)
     se = OnlineSeSource(base, params, params.sigma2)
     decoded, diag = decode(op, y, se, AmpConfig(t_max=15), truth=beta)
     assert not diag.diverged
@@ -252,11 +250,10 @@ def test_amp_iterate_residual_matches_repeat_formula(operator):
     if operator == "dense":
         params, base, op, beta, y = small_setup(seed=2)
     else:
-        base = build_base_matrix(CouplingParams(2, 4), 1.0)
-        params = SparcParams(n=40, M=4, L=8, base=base, P=1.0, sigma2=1.0 / 20)
+        base = build_base_matrix(CouplingParams(2, 4))
+        params = SparcParams(n=40, M=4, L=8, base=base, sigma2=1.0 / 20)
         op = build_dft_design(params, base, seed=11)
-        ch = ChannelParams(params.sigma2, params.P, field="complex")
-        y = transmit(op.apply(random_message(4, 8, seed=12)), ch, seed=13)
+        y = transmit(op.apply(random_message(4, 8, seed=12)), params.sigma2, seed=13)
     se = OnlineSeSource(base, params, params.sigma2)
     state = DecoderState.initial(op)
     for _ in range(2):
@@ -307,11 +304,10 @@ def test_decode_reports_time_per_stage():
 def test_amp_iterate_adds_the_real_part_of_the_adjoint():
     # s = beta + (S ⊙ A)* z, of which the denoiser reads the real part:
     # beta^{t+1} is bit-identical to denoising the full complex sum
-    base = build_base_matrix(CouplingParams(2, 4), 1.0)
-    params = SparcParams(n=40, M=4, L=8, base=base, P=1.0, sigma2=1.0 / 20)
+    base = build_base_matrix(CouplingParams(2, 4))
+    params = SparcParams(n=40, M=4, L=8, base=base, sigma2=1.0 / 20)
     op = build_dft_design(params, base, seed=3)
-    ch = ChannelParams(params.sigma2, params.P, field="complex")
-    y = transmit(op.apply(random_message(4, 8, seed=4)), ch, seed=5)
+    y = transmit(op.apply(random_message(4, 8, seed=4)), params.sigma2, seed=5)
     se = OnlineSeSource(base, params, params.sigma2)
     state = DecoderState.initial(op)
     for _ in range(3):

@@ -23,9 +23,9 @@ from design_oracles import (
 )
 
 
-def small_params(M=4, L=8, omega=2, Lambda=4, n=40, sigma2=0.1, P=1.0):
-    base = build_base_matrix(CouplingParams(omega, Lambda), P)
-    return SparcParams(n=n, M=M, L=L, base=base, P=P, sigma2=sigma2), base
+def small_params(M=4, L=8, omega=2, Lambda=4, n=40, sigma2=0.1):
+    base = build_base_matrix(CouplingParams(omega, Lambda))
+    return SparcParams(n=n, M=M, L=L, base=base, sigma2=sigma2), base
 
 
 def test_dense_block_structure():
@@ -45,8 +45,8 @@ def test_dense_block_structure():
 def test_dense_draw_order(field, rho):
     # oracle: one generator draws the nonzero blocks in row-major order
     # omega=3: row-major and column-major block orders differ even at rho=0
-    base = build_base_matrix(CouplingParams(3, 5, rho), 1.0)
-    params = SparcParams(n=56, M=4, L=10, base=base, P=1.0, sigma2=0.1)
+    base = build_base_matrix(CouplingParams(3, 5, rho))
+    params = SparcParams(n=56, M=4, L=10, base=base, sigma2=0.1)
     op = build_gaussian_design(params, base, seed=11, field=field)
     rng = np.random.default_rng(11)
     nr, nc = op.rows_per_block, op.cols_per_block
@@ -68,8 +68,8 @@ def test_dense_draw_order(field, rho):
 
 def test_dense_block_variance():
     # oracle: sample variance of a large block within 10% of W_rc/L
-    base = build_base_matrix(CouplingParams(1, 1), 1.0)
-    params = SparcParams(n=200, M=4, L=50, base=base, P=1.0, sigma2=0.1)
+    base = build_base_matrix(CouplingParams(1, 1))
+    params = SparcParams(n=200, M=4, L=50, base=base, sigma2=0.1)
     op = build_gaussian_design(params, base, seed=3)
     A = dense_form(op)
     assert A.shape == (200, 200)
@@ -113,7 +113,7 @@ def test_scaled_adjoint_matches_dense():
 
 
 def test_power_constraint():
-    # oracle: E||A beta||^2 = n*P, averaged over independent codewords
+    # oracle: E||A beta||^2 = n at unit power, averaged over independent codewords
     params, W = small_params(n=200, L=16, M=8)
     total = 0.0
     for seed in range(100):
@@ -121,7 +121,7 @@ def test_power_constraint():
         beta = random_message(params.M, params.L, seed=seed + 1000)
         total += np.sum(np.abs(op.apply(beta)) ** 2)
     avg = total / 100
-    assert abs(avg - params.n * params.P) / (params.n * params.P) < 0.02
+    assert abs(avg - params.n) / params.n < 0.02
 
 
 def test_dft_entry_magnitudes():
@@ -209,7 +209,7 @@ def test_design_validation():
         build_gaussian_design(params, W, seed=0, field="ternary")
     # the 8 nonzero blocks of this shape hold 2^34 bytes, above MEMORY_CAP;
     # the check must fire before any block is drawn
-    huge = SparcParams(n=5 * 2**14, M=2**6, L=2**10, base=W, P=1.0, sigma2=0.1)
+    huge = SparcParams(n=5 * 2**14, M=2**6, L=2**10, base=W, sigma2=0.1)
     tracemalloc.start()
     try:
         with pytest.raises(MemoryError):
@@ -238,8 +238,8 @@ def test_dense_memory_check_counts_nonzero_blocks(monkeypatch):
 
 def dense_kernel_op(field, rho):
     # 20 real or 10 complex rows per row block, neither a multiple of 3
-    base = build_base_matrix(CouplingParams(3, 5, rho), 1.0)
-    params = SparcParams(n=40 * base.rows, M=4, L=10, base=base, P=1.0, sigma2=0.1)
+    base = build_base_matrix(CouplingParams(3, 5, rho))
+    params = SparcParams(n=40 * base.rows, M=4, L=10, base=base, sigma2=0.1)
     return build_gaussian_design(params, base, seed=5, field=field)
 
 
@@ -294,8 +294,8 @@ def test_dft_residual_is_its_two_products():
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_dense_row_block_without_blocks(field):
     # row block 2 stores no block: there z = y + upsilon * z_prev exactly
-    W = BaseMatrix(np.array([[1.5, 1.5], [1.5, 1.5], [0.0, 0.0]]), 1.0)
-    params = SparcParams(n=48, M=4, L=8, base=W, P=1.0, sigma2=0.1)
+    W = BaseMatrix(np.array([[1.5, 1.5], [1.5, 1.5], [0.0, 0.0]]))
+    params = SparcParams(n=48, M=4, L=8, base=W, sigma2=0.1)
     op = build_gaussian_design(params, W, seed=2, field=field)
     assert op._row_mats[2].size == 0
     beta, y, upsilon, z_prev, S = residual_inputs(op, seed=4)
@@ -308,10 +308,10 @@ def test_dense_row_block_without_blocks(field):
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_dense_build_holds_one_block_beyond_the_stored_ones(field):
     # 15 nonzero blocks of 64 x 512 entries
-    base = build_base_matrix(CouplingParams(3, 5), 1.0)
+    base = build_base_matrix(CouplingParams(3, 5))
     rows = 64 * base.rows
     n = rows if field == "real" else 2 * rows
-    params = SparcParams(n=n, M=16, L=160, base=base, P=1.0, sigma2=0.1)
+    params = SparcParams(n=n, M=16, L=160, base=base, sigma2=0.1)
     np.random.default_rng(0)  # numpy.random's import stays out of the peak
     tracemalloc.start()
     try:
@@ -335,15 +335,15 @@ MOST_DRAWS = {(1, 1, 0.0): 1, (2, 3, 0.0): 1, (2, 4, 0.0): 1, (3, 5, 0.0): 2, (2
 
 def dft_params(omega, Lambda, rho, M=4, rows_per_block=6):
     # cols per block M * L / Lambda = 16
-    base = build_base_matrix(CouplingParams(omega, Lambda, rho), 1.0)
+    base = build_base_matrix(CouplingParams(omega, Lambda, rho))
     n = 2 * rows_per_block * base.rows
-    return SparcParams(n=n, M=M, L=4 * Lambda, base=base, P=1.0, sigma2=0.1), base
+    return SparcParams(n=n, M=M, L=4 * Lambda, base=base, sigma2=0.1), base
 
 
 def offline_sweep_params():
     # M=128, L=1024, omega=6, Lambda=32, 1.5 bits: 192 blocks of 4096 columns
     params = derive_code_params(
-        1.5 * np.log(2), 128, CouplingParams(6, 32), 1024, 1.0, 0.1, even=True
+        1.5 * np.log(2), 128, CouplingParams(6, 32), 1024, 0.1, even=True
     )
     return params, params.base
 

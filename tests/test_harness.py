@@ -20,8 +20,10 @@ from scsparc.harness import (
     run_trial,
     write_results_csv,
 )
+from scsparc.state_evolution import progression_report
+
 SMALL = dict(
-    code=dict(M=4, L=16, omega=2, Lambda=4, rho=0.0, rate_bits=1.0, P=1.0),
+    code=dict(M=4, L=16, omega=2, Lambda=4, rho=0.0, rate_bits=1.0),
     channel=dict(snr_db=11.76),
     sim=dict(trials=3, seed=42, se_mode="online_known_sigma", operator="dense", t_max=10),
 )
@@ -43,12 +45,6 @@ def test_config_parsing_and_overrides():
     assert cfg.sweep == [(11.76, 1.0)]
     cfg2 = small_config(trials=5, se_mode="online")
     assert cfg2.trials == 5 and cfg2.se_mode == "online"
-
-
-def test_config_sigma2_to_snr():
-    raw = dict(SMALL, channel=dict(sigma2=[0.1], field="real"))
-    cfg = ExperimentConfig.from_mapping(raw)
-    assert np.isclose(cfg.snr_db[0], 10.0)
 
 
 def test_config_rejects_double_sweep():
@@ -79,13 +75,19 @@ def with_section(name, **keys):
         pytest.param(with_section("code", Lamda=4), {}, None, id="code-typo"),
         pytest.param(with_section("simulation", trials=2), {}, None, id="unknown-section"),
         # missing entries, named in the message
-        pytest.param(dict(SMALL, channel=dict(field="real")), {}, "sigma2", id="no-snr-or-sigma2"),
+        pytest.param(dict(SMALL, channel=dict(field="real")), {}, "snr_db", id="no-snr"),
         pytest.param(
             dict(SMALL, code={k: v for k, v in SMALL["code"].items() if k != "M"}), {}, "'M'",
             id="no-M",
         ),
         pytest.param(None, {}, "empty", id="empty-file"),
         pytest.param(dict(SMALL, sim=None), {}, "'sim'", id="empty-section"),
+        # sweeps with no point, and points no simulation can run, named by key
+        pytest.param(with_section("channel", snr_db=[]), {}, "snr_db", id="empty-snr-sweep"),
+        pytest.param(with_section("code", rate_bits=[]), {}, "rate_bits", id="empty-rate-sweep"),
+        pytest.param(with_section("channel", snr_db=-math.inf), {}, "snr_db", id="snr-minus-inf"),
+        pytest.param(with_section("channel", snr_db=math.nan), {}, "snr_db", id="snr-nan"),
+        pytest.param(SMALL, dict(t_max=0), "t_max", id="t_max-0"),
     ],
 )
 def test_config_validation_raises_value_error(raw, over, named):
@@ -198,6 +200,15 @@ def test_cli_se_emits_the_offline_decoding_trajectory(tmp_path, capsys):
         t, r = int(t), int(r)
         assert phi == f"{traj.phi[t, r]:.10g}"
         assert sigma == f"{traj.phi[t, r] - params.sigma2:.10g}"
+
+    # progression reports the same point 0, with the same warning
+    assert cli_main(["progression", "--config", str(cfg_path)]) == 0
+    out, err = capsys.readouterr()
+    assert "scsparc progression" in err and "only point 0 is emitted" in err
+    report = progression_report(
+        R=params.R, snr=params.snr, omega=cfg.omega, Lambda=cfg.Lambda, M=cfg.M
+    )
+    assert json.loads(out)["Delta"] == report.Delta
 
 
 @pytest.mark.parametrize(

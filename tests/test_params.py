@@ -16,7 +16,7 @@ from scsparc.params import (
 
 def test_band_matrix_shape_and_values():
     # oracle: direct evaluation of the band formula
-    W = build_base_matrix(CouplingParams(omega=3, Lambda=7), P=1.0)
+    W = build_base_matrix(CouplingParams(omega=3, Lambda=7))
     assert W.entries.shape == (9, 7)
     for c in range(7):
         col = W.entries[:, c]
@@ -27,14 +27,14 @@ def test_band_matrix_shape_and_values():
 
 
 def test_uncoupled_base_matrix():
-    W = build_base_matrix(CouplingParams(omega=1, Lambda=1), P=2.5)
+    W = build_base_matrix(CouplingParams(omega=1, Lambda=1))
     assert W.entries.shape == (1, 1)
-    assert W.entries[0, 0] == 2.5
+    assert W.entries[0, 0] == 1.0
 
 
 def test_power_identity_with_rho():
     # oracle: direct double sum over all entries
-    W = build_base_matrix(CouplingParams(omega=2, Lambda=4, rho=0.5), P=1.0)
+    W = build_base_matrix(CouplingParams(omega=2, Lambda=4, rho=0.5))
     assert W.entries.shape == (5, 4)
     total = 0.0
     for r in range(5):
@@ -45,12 +45,12 @@ def test_power_identity_with_rho():
 
 @pytest.mark.parametrize("omega,Lambda,rho", [(1, 1, 0.0), (3, 7, 0.0), (2, 4, 0.5), (6, 32, 0.1)])
 def test_power_identity_general(omega, Lambda, rho):
-    W = build_base_matrix(CouplingParams(omega, Lambda, rho), P=1.0)
+    W = build_base_matrix(CouplingParams(omega, Lambda, rho))
     assert math.isclose(W.entries.mean(), 1.0, rel_tol=1e-12)
 
 
 def test_column_support_and_symmetry():
-    W = build_base_matrix(CouplingParams(omega=4, Lambda=12), P=1.0).entries
+    W = build_base_matrix(CouplingParams(omega=4, Lambda=12)).entries
     for c in range(12):
         nz = np.flatnonzero(W[:, c])
         assert np.array_equal(nz, np.arange(c, c + 4))
@@ -74,7 +74,6 @@ def test_flagship_code_sizing():
         M=512,
         coupling=CouplingParams(omega=6, Lambda=32),
         L=2048,
-        P=1.0,
         sigma2=1.0 / 15.0,
     )
     assert params.n == 12284
@@ -88,7 +87,7 @@ def test_code_sizing_fixed_point():
     coupling = CouplingParams(omega=2, Lambda=4)  # 5 row blocks
     L, M, n = 64, 16, 250
     R = L * math.log(M) / n
-    params = derive_code_params(R, M, coupling, L, P=1.0, sigma2=0.1)
+    params = derive_code_params(R, M, coupling, L, sigma2=0.1)
     assert params.n == n
     assert math.isclose(params.R, R, rel_tol=1e-12)
 
@@ -96,7 +95,7 @@ def test_code_sizing_fixed_point():
 def test_code_sizing_nearest_multiple():
     # raw n = 64*ln(16)/ln(2) = 256; nearest multiple of 5 is 255
     params = derive_code_params(
-        LN2, 16, CouplingParams(omega=2, Lambda=4), 64, P=1.0, sigma2=0.1
+        LN2, 16, CouplingParams(omega=2, Lambda=4), 64, sigma2=0.1
     )
     assert params.n == 255
     assert params.n % 5 == 0
@@ -104,22 +103,25 @@ def test_code_sizing_nearest_multiple():
 
 def test_code_sizing_even_option():
     coupling = CouplingParams(omega=2, Lambda=4)  # 5 rows (odd)
-    params = derive_code_params(LN2, 16, coupling, 64, 1.0, 0.1, even=True)
+    params = derive_code_params(LN2, 16, coupling, 64, 0.1, even=True)
     assert params.n % 10 == 0
 
 
 def test_rate_identity():
     params = derive_code_params(
-        1.0, 8, CouplingParams(omega=2, Lambda=4), 32, P=1.0, sigma2=0.5
+        1.0, 8, CouplingParams(omega=2, Lambda=4), 32, sigma2=0.5
     )
     assert abs(params.R - 32 * math.log(8) / params.n) <= 1e-12
 
 
 def test_code_sizing_errors():
     with pytest.raises(ValueError):
-        derive_code_params(1.0, 8, CouplingParams(2, 4), 33, 1.0, 0.5)  # L % Lambda
+        derive_code_params(1.0, 8, CouplingParams(2, 4), 33, 0.5)  # L % Lambda
     with pytest.raises(ValueError):
-        derive_code_params(1e9, 8, CouplingParams(2, 4), 32, 1.0, 0.5)  # n rounds to 0
+        derive_code_params(1e9, 8, CouplingParams(2, 4), 32, 0.5)  # n rounds to 0
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma2 must"):
+            derive_code_params(1.0, 8, CouplingParams(2, 4), 32, bad)
 
 
 def test_is_power_of_2():

@@ -18,11 +18,11 @@ coupling_st = st.tuples(
 
 
 @settings(max_examples=50, deadline=None)
-@given(coupling_st, st.floats(0.1, 10.0))
-def test_base_matrix_power_and_symmetry(ct, P):
+@given(coupling_st)
+def test_base_matrix_power_and_symmetry(ct):
     omega, Lambda, rho = ct
-    W = build_base_matrix(CouplingParams(omega, Lambda, rho), P).entries
-    assert np.isclose(W.mean(), P, rtol=1e-12)
+    W = build_base_matrix(CouplingParams(omega, Lambda, rho)).entries
+    assert np.isclose(W.mean(), 1.0, rtol=1e-12)
     assert np.all(W >= 0)
     assert np.allclose(W, W[::-1, ::-1])
 
@@ -81,8 +81,8 @@ def test_operators_match_their_dense_form(ct, M, sections, k, seed):
     # every operator the harness builds: dense real, dense complex, DFT;
     # L = sections * Lambda and k complex rows per row block
     omega, Lambda, rho = ct
-    W = build_base_matrix(CouplingParams(omega, Lambda, rho), 1.0)
-    params = SparcParams(n=2 * k * W.rows, M=M, L=sections * Lambda, base=W, P=1.0, sigma2=0.1)
+    W = build_base_matrix(CouplingParams(omega, Lambda, rho))
+    params = SparcParams(n=2 * k * W.rows, M=M, L=sections * Lambda, base=W, sigma2=0.1)
     rng = np.random.default_rng(seed)
     S = rng.uniform(0.5, 2.0, size=(W.rows, W.cols))
     for op in (

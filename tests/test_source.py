@@ -1,6 +1,8 @@
 """Properties of the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import scsparc
@@ -10,6 +12,16 @@ ROOT = Path(__file__).resolve().parent.parent
 # criterion 5 (`asymptotic_se`) and criterion 1 (`compare_to_se`) compare
 # the simulation against
 TEST_REFERENCES = {"asymptotic_se", "compare_to_se"}
+# installs and restores every probe of bench/run.py (argv[1] is bench/)
+PROBE_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import run as bench
+for name in bench.WORKLOADS:
+    run = bench.Run(name, seed=0, trace=True, tiny=True)
+    run.install()
+    run.tracer.restore()
+"""
 
 
 def test_package_has_no_assert_statements():
@@ -67,3 +79,16 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
                     used.add(name)
     unused = sorted(set(exported) - used - TEST_REFERENCES)
     assert not unused, f"public names that only tests use: {unused}"
+
+
+def test_every_benchmark_probe_installs_on_the_package():
+    # the benchmark patches package functions and methods by name, so a
+    # dropped or moved name fails here rather than in a benchmark run; a
+    # child process keeps run.py's thread and worker settings out of this one
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE_SCRIPT, str(ROOT / "bench")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

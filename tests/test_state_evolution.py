@@ -81,23 +81,23 @@ def test_expectation_estimators_agree():
 
 def test_se_step_interior_phi():
     # with psi = 1 an interior row of the band matrix sees
-    # phi = sigma2 + vartheta * P (only when every band column is interior,
-    # i.e. row r collects omega band entries of value (1-rho)P*R/omega)
+    # phi = sigma2 + vartheta (only when every band column is interior,
+    # i.e. row r collects omega band entries of value (1-rho)R/omega)
     coupling = CouplingParams(omega=3, Lambda=12)
-    P, sigma2 = 1.0, 0.25
-    W = build_base_matrix(coupling, P)
+    sigma2 = 0.25
+    W = build_base_matrix(coupling)
     psi = np.ones(W.cols)
     phi = sigma2 + W.entries @ psi / W.cols
-    # interior row r in [omega-1, Lambda-1]: omega entries of P*rows/omega
+    # interior row r in [omega-1, Lambda-1]: omega entries of rows/omega
     interior = phi[3:11]
-    expected = sigma2 + P * W.rows / W.cols
+    expected = sigma2 + W.rows / W.cols
     assert np.allclose(interior, expected)
-    assert math.isclose(P * W.rows / W.cols, coupling.vartheta * P)
+    assert math.isclose(W.rows / W.cols, coupling.vartheta)
 
 
 def test_se_step_tau_formula():
     params = derive_code_params(
-        1.0 * LN2, 8, CouplingParams(2, 4), 32, P=1.0, sigma2=0.1
+        1.0 * LN2, 8, CouplingParams(2, 4), 32, sigma2=0.1
     )
     W = params.base
     exp = SectionExpectation(8, 2000, seed=0)
@@ -115,7 +115,7 @@ def test_se_step_tau_formula():
 
 def test_run_se_threshold_one():
     params = derive_code_params(
-        1.0 * LN2, 8, CouplingParams(2, 4), 32, P=1.0, sigma2=0.1
+        1.0 * LN2, 8, CouplingParams(2, 4), 32, sigma2=0.1
     )
     traj = run_se(params.base, params, threshold=1.0, t_max=10)
     assert traj.iterations == 0
@@ -125,7 +125,7 @@ def test_run_se_threshold_one():
 def test_run_se_decodes_well_below_capacity():
     # snr=15 (capacity 2 bits), rate 1 bit: psi must hit the floor
     params = derive_code_params(
-        1.0 * LN2, 32, CouplingParams(3, 8), 64, P=1.0, sigma2=1 / 15
+        1.0 * LN2, 32, CouplingParams(3, 8), 64, sigma2=1 / 15
     )
     traj = run_se(params.base, params, threshold=1e-2, t_max=60, mc_samples=4000)
     assert traj.reached_threshold
@@ -141,7 +141,7 @@ def test_run_se_uncoupled_stall():
     snr = 15.0
     R = 0.98 * 0.5 * math.log1p(snr)
     params = derive_code_params(
-        R, 64, CouplingParams(1, 1), 64, P=1.0, sigma2=1 / snr
+        R, 64, CouplingParams(1, 1), 64, sigma2=1 / snr
     )
     traj = run_se(params.base, params, threshold=1e-2, t_max=60, mc_samples=4000)
     assert not traj.reached_threshold
@@ -150,7 +150,7 @@ def test_run_se_uncoupled_stall():
 
 def test_run_se_psi_monotone():
     params = derive_code_params(
-        1.2 * LN2, 16, CouplingParams(3, 8), 64, P=1.0, sigma2=1 / 15
+        1.2 * LN2, 16, CouplingParams(3, 8), 64, sigma2=1 / 15
     )
     traj = run_se(params.base, params, threshold=1e-4, t_max=30, mc_samples=4000)
     diffs = np.diff(traj.psi, axis=0)
@@ -158,7 +158,7 @@ def test_run_se_psi_monotone():
 
 
 def test_asymptotic_se_monotone_and_symmetric():
-    W = build_base_matrix(CouplingParams(4, 16), 1.0)
+    W = build_base_matrix(CouplingParams(4, 16))
     hist = asymptotic_se(W, R=0.6, sigma2=1 / 15)
     assert np.all(np.diff(hist, axis=0) <= 0)  # 0/1, nonincreasing
     for row in hist:
@@ -172,7 +172,7 @@ def test_asymptotic_one_shot_rate():
     vt = coupling.vartheta
     delta = 0.1
     R = 0.9 * (1.0 - 0.0) / (2.0 + delta) * snr / (1.0 + vt * snr)
-    W = build_base_matrix(coupling, 1.0)
+    W = build_base_matrix(coupling)
     hist = asymptotic_se(W, R=R, sigma2=1 / snr)
     assert np.all(hist[1] == 0.0)
 
@@ -261,7 +261,7 @@ class CountingExpectation(SectionExpectation):
 
 
 def test_se_step_evaluates_mirror_columns_once():
-    params = derive_code_params(1.5 * LN2, 128, CouplingParams(6, 32), 1024, 1.0, 1 / 15)
+    params = derive_code_params(1.5 * LN2, 128, CouplingParams(6, 32), 1024, 1 / 15)
     W = params.base
     exp = CountingExpectation(params.M, 500, seed=1)
     # a mid-wave psi, symmetric about the centre like SE's own
@@ -285,7 +285,7 @@ def test_se_step_separates_taus_beyond_twelve_digits():
     # one ulp, columns 2 and 3 by 1e-10 and 1e-11 relative (tens and a few
     # units of the 12th significant digit)
     row = np.array([1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-10, 1.0 + 1e-11])
-    W = BaseMatrix(entries=row[np.newaxis, :], avg_power=float(row.mean()))
+    W = BaseMatrix(entries=row[np.newaxis, :])
     exp = CountingExpectation(4, 200, seed=0)
     _, tau, psi_next = se_step(W, np.ones(4), 0.1, 0.5, 4, exp)
     assert len(set(tau.tolist())) == 4

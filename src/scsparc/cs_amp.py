@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import _draw_gaussian_rows
 from .params import CouplingParams, build_base_matrix
 from .state_evolution import normal_quadrature
 
@@ -163,15 +164,17 @@ def build_cs_base_matrix(coupling: CouplingParams) -> np.ndarray:
 def cs_design_matrix(model: CsModel, seed) -> np.ndarray:
     """Dense measurement matrix with independent N(0, W_rc/(n/rows))
     entries in block (r, c). Columns have unit expected norm when the base
-    matrix columns sum to one. Blocks are scaled in place, so no second
-    matrix-sized array is built."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((model.n, model.p))
-    mr, mc = model.rows_per_block, model.cols_per_block
-    scale = np.sqrt(model.W / mr)
-    for r in range(model.rows):
-        for c in range(model.cols):
-            A[r * mr : (r + 1) * mr, c * mc : (c + 1) * mc] *= scale[r, c]
+    matrix columns sum to one.
+
+    Row block r is drawn from child r of the seed straight into the matrix,
+    and each block scaled while its rows are in cache, so the build holds
+    one matrix and nothing more. Large matrices draw their row blocks on a
+    thread per usable CPU, with the same values as one thread
+    (`design._draw_gaussian_rows`)."""
+    A = np.empty((model.n, model.p))
+    mr = model.rows_per_block
+    scales = np.sqrt(model.W / mr)
+    _draw_gaussian_rows([A[r * mr : (r + 1) * mr] for r in range(model.rows)], scales, seed)
     return A
 
 

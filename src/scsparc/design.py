@@ -8,6 +8,10 @@ W[r, c] != 0, listed in row-major order in `_nonzero`:
    Each row block is stored as one matrix of its nonzero blocks side by
    side, and a product walks it in row chunks that fit in L2, so the AMP
    residual and its adjoint read the stored blocks from memory once.
+   Row block r is drawn from child r of the seed, in place, and the row
+   blocks of a large design are drawn on a thread per usable CPU
+   (`_draw_gaussian_rows`, shared with `cs_amp.cs_design_matrix`); the
+   draws do not depend on the thread count.
  * dft_fast: each nonzero block is a row subset of a unitary DFT with a
    random column permutation and i.i.d. random phases, scaled so every
    entry has squared magnitude W[r, c]/L. The blocks of one column block
@@ -20,6 +24,9 @@ dimensions throughout).
 
 from __future__ import annotations
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -40,6 +47,86 @@ MEMORY_CAP = 2 * 1024**3
 # a chunk from L2 right after the forward product read it from memory
 # (1 MiB measured best of 256 KiB to 2 MiB on a host with 2 MiB of L2)
 _CHUNK_BYTES = 2**20
+# bytes: a Gaussian draw below this runs inline, as a thread pool per small
+# build would cost more than it saves
+_POOL_MIN_BYTES = 4 * 2**20
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _child_seeds(seed, count: int) -> list:
+    """The first `count` children `spawn` gives a fresh root made from
+    `seed`. They are derived without spawn, which would mutate a
+    SeedSequence passed in, so a reused seed object gives the same draws."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [
+        np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key + (i,), pool_size=root.pool_size
+        )
+        for i in range(count)
+    ]
+
+
+def _draw_gaussian_rows(arrays: list, scales: list, seed) -> None:
+    """Fill each C-contiguous array with i.i.d. N(0, 1) draws, in place,
+    each column segment times its scale.
+
+    `arrays[r]` is split into len(scales[r]) column segments of equal
+    width, and segment j is multiplied by scales[r][j]. Array r draws from
+    child r of the seed (`_child_seeds`), in C order over its entries; a
+    complex array draws through its float64 view, so each entry takes two
+    consecutive draws, real part first. The draw works in row chunks of
+    about _CHUNK_BYTES and scales each chunk while it is in cache.
+
+    Arrays of _POOL_MIN_BYTES or more in total are drawn on min(usable
+    CPUs, arrays) threads: the calling thread and a pool of helpers, joined
+    before this returns, each taking the next array from a shared queue;
+    the draw and the scaling release the GIL. Each array has its own
+    generator, so the values do not depend on the thread count or the
+    scheduling.
+    """
+    todo = queue.SimpleQueue()
+    for job in zip(arrays, scales, _child_seeds(seed, len(arrays))):
+        todo.put(job)
+
+    def drain():
+        while True:
+            try:
+                job = todo.get_nowait()
+            except queue.Empty:
+                return
+            _draw_row_block(*job)
+
+    threads = min(_usable_cpus(), len(arrays))
+    if threads <= 1 or sum(a.nbytes for a in arrays) < _POOL_MIN_BYTES:
+        drain()
+        return
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(threads - 1)]
+        # the calling thread draws too: it stays runnable, so it keeps its CPU
+        drain()
+    for helper in helpers:
+        helper.result()  # re-raises a helper's exception
+
+
+def _draw_row_block(a: np.ndarray, scales: np.ndarray, seed) -> None:
+    if a.size == 0:
+        return
+    a = a.view(np.float64)
+    rng = np.random.default_rng(seed)
+    step = max(1, _CHUNK_BYTES // a[0].nbytes)
+    for lo in range(0, len(a), step):
+        chunk = a[lo : lo + step]
+        rng.standard_normal(out=chunk)
+        # one segment per scale, scaled while the chunk is in cache
+        segments = chunk.reshape(len(chunk), len(scales), -1)
+        np.multiply(segments, scales[:, np.newaxis], out=segments)
 
 
 def _check_scaling(S: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -116,13 +203,16 @@ class DesignOperator:
 
 
 class DenseGaussianDesign(DesignOperator):
-    """Explicit i.i.d. Gaussian blocks, drawn in row-major block order.
+    """Explicit i.i.d. Gaussian blocks, one seeded draw per row block.
 
     Row block r is stored as one C-contiguous (rows_per_block,
     k_r * cols_per_block) matrix `_row_mats[r]`, its k_r nonzero blocks
-    side by side in column order (`_row_cols[r]`). Each block is drawn and
-    scaled in one reusable buffer and copied into its place, so the build
-    holds one block beyond the stored ones.
+    side by side in column order (`_row_cols[r]`). `_row_mats[r]` is drawn
+    in place from child r of the seed and each block scaled to variance
+    W_rc/L (`_draw_gaussian_rows`); a complex entry takes its real and then
+    its imaginary part, each of variance W_rc/(2L). The build holds no
+    array beyond the stored ones, and large designs draw their row blocks
+    on a thread per usable CPU with the same values as one thread.
 
     Every product runs `_sweep`, one pass over the stored rows in chunks
     of about _CHUNK_BYTES. `residual` forms each chunk's rows of z and, while
@@ -140,22 +230,11 @@ class DenseGaussianDesign(DesignOperator):
             raise MemoryError(f"dense design needs {nbytes} bytes, above the cap {MEMORY_CAP}")
         self._row_cols = [[c for row, c in self._nonzero if row == r] for r in range(W.rows)]
         self._row_mats = [np.empty((nr, len(cols) * nc), self.dtype) for cols in self._row_cols]
-        rng = np.random.default_rng(seed)
-        # the real draw, and for the complex field the imaginary one
-        draws = [np.empty((nr, nc)) for _ in range(1 if field == "real" else 2)]
-        for r, c in self._nonzero:
-            j = self._row_cols[r].index(c)
-            blk = self._row_mats[r][:, j * nc : (j + 1) * nc]
-            var = W.entries[r, c] / params.L
-            scale = np.sqrt(var) if field == "real" else np.sqrt(var / 2.0)
-            for buf in draws:
-                rng.standard_normal(out=buf)
-                # scaled in place: a ufunc into the strided view would buffer
-                buf *= scale
-            if field == "real":
-                blk[...] = draws[0]
-            else:
-                blk.real, blk.imag = draws
+        var = W.entries / params.L
+        if field == "complex":
+            var = var / 2.0
+        scales = [np.sqrt(var[r, cols]) for r, cols in enumerate(self._row_cols)]
+        _draw_gaussian_rows(self._row_mats, scales, seed)
 
     def apply(self, beta):
         self._check_apply_input(beta)
@@ -241,8 +320,8 @@ class DftDesign(DesignOperator):
 
     All nonzero blocks of column block c share one column permutation
     `perm_c` and one phase vector `phases_c`, so the blocks of a column are
-    row subsets of one randomized transform. Column c draws from its own
-    child seed: the row subsets of its blocks in row order, then `perm_c`,
+    row subsets of one randomized transform. Column c draws from child c
+    of the seed (`_child_seeds`): the row subsets of its blocks in row order, then `perm_c`,
     then `phases_c`. The row subsets come from successive draws without
     replacement of up to N // rows_per_block blocks each, so the blocks of
     a column have disjoint rows whenever they fit in N rows.
@@ -276,9 +355,8 @@ class DftDesign(DesignOperator):
         self._rows = np.empty((len(self._nonzero), nr), dtype=np.int64)
         self._perm = np.empty((W.cols, N), dtype=np.int64)
         self._phases = np.empty((W.cols, N), dtype=complex)
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         per_draw = N // nr
-        for c, child in enumerate(root.spawn(W.cols)):
+        for c, child in enumerate(_child_seeds(seed, W.cols)):
             rng = np.random.default_rng(child)
             blocks = [i for i, (_, col) in enumerate(self._nonzero) if col == c]
             for start in range(0, len(blocks), per_draw):

@@ -1,5 +1,11 @@
-"""Reference randomized-DFT design draws and products, used as test oracles.
+"""Reference design draws and products, used as test oracles.
 
+`reference_dense_row_mats` and `reference_cs_matrix` are the documented
+Gaussian draws: row block r of the design is one whole-array
+`standard_normal` from the r-th child `SeedSequence.spawn` gives a fresh
+copy of the seed, times the scale of each block, repeated over its
+columns. A complex row block is that real draw, twice as wide, read as
+interleaved real and imaginary parts.
 `reference_dft_blocks` draws the blocks of `scsparc.design.DftDesign` one
 column block at a time, one array per block, from the same child seed per
 column in the same order; the blocks of a column share one permutation and
@@ -13,13 +19,61 @@ of a block dict, and `dense_form` that of either operator kind.
 import numpy as np
 
 
+def _fresh_children(seed, count) -> list:
+    """`spawn`'s first `count` children of a fresh copy of `seed`."""
+    if isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
+        )
+    else:
+        seed = np.random.SeedSequence(seed)
+    return seed.spawn(count)
+
+
+def _reference_row_block(child, rows, block_scales, cols_per_block, dtype):
+    """One row block: a (rows, k * cols_per_block) draw, block j times
+    block_scales[j]; a complex block draws real and imaginary parts
+    interleaved."""
+    width = 1 if dtype == float else 2
+    g = np.random.default_rng(child).standard_normal(
+        (rows, len(block_scales) * width * cols_per_block)
+    )
+    g *= np.repeat(block_scales, width * cols_per_block)
+    return g.view(dtype)
+
+
+def reference_dense_row_mats(params, W, seed, field) -> list:
+    """`DenseGaussianDesign._row_mats`: row block r holds its nonzero
+    blocks side by side, each of variance W_rc/L per entry."""
+    dtype = float if field == "real" else complex
+    n_rows = params.n if field == "real" else params.n // 2
+    nr, nc = n_rows // W.rows, params.M * params.L // W.cols
+    mats = []
+    for r, child in enumerate(_fresh_children(seed, W.rows)):
+        cols = np.flatnonzero(W.entries[r] != 0.0)
+        var = W.entries[r, cols] / params.L
+        scales = np.sqrt(var) if field == "real" else np.sqrt(var / 2.0)
+        mats.append(_reference_row_block(child, nr, scales, nc, dtype))
+    return mats
+
+
+def reference_cs_matrix(model, seed) -> np.ndarray:
+    """`cs_amp.cs_design_matrix`: N(0, W_rc/(n/rows)) entries in block
+    (r, c), every block drawn, zero-variance ones too."""
+    mr, mc = model.rows_per_block, model.cols_per_block
+    children = _fresh_children(seed, model.rows)
+    return np.vstack([
+        _reference_row_block(children[r], mr, np.sqrt(model.W[r] / mr), mc, float)
+        for r in range(model.rows)
+    ])
+
+
 def reference_dft_blocks(params, W, seed) -> dict:
     """{(r, c): (rows, perm, phases)} for the nonzero blocks of W."""
     N = params.M * params.L // W.cols
     rows_per_block = params.n // 2 // W.rows
     per_draw = N // rows_per_block
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(W.cols)
+    children = _fresh_children(seed, W.cols)
     blocks = {}
     for c in range(W.cols):
         col_rows = [r for r in range(W.rows) if W.entries[r, c] != 0.0]

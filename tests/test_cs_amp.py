@@ -1,10 +1,12 @@
 """Compressed-sensing AMP: priors, denoisers, state evolution, decoding."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from scsparc import design
 from scsparc.cs_amp import (
     BgBayesDenoiser,
     CsModel,
@@ -18,6 +20,7 @@ from scsparc.cs_amp import (
     run_cs_se,
 )
 from scsparc.params import CouplingParams
+from design_oracles import reference_cs_matrix
 
 
 def test_prior_moments_and_sampling():
@@ -100,13 +103,29 @@ def test_cs_design_column_norms():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cs_design_matrix_matches_repeat_formula(seed):
-    # oracle: scale the whole draw by the block scales repeated to full size
+    # oracle: each row block one whole draw from its child seed, scaled by
+    # the block scales repeated over the columns
     W = build_cs_base_matrix(CouplingParams(3, 8, 0.1))
     model = CsModel(W=W, p=400, n=200, sigma2=0.01, prior=bernoulli_gauss_prior(0.1, 1.0))
-    mr, mc = model.rows_per_block, model.cols_per_block
-    ref = np.random.default_rng(seed).standard_normal((model.n, model.p))
-    ref *= np.repeat(np.repeat(np.sqrt(model.W / mr), mr, axis=0), mc, axis=1)
-    assert np.array_equal(cs_design_matrix(model, seed), ref)
+    assert np.array_equal(cs_design_matrix(model, seed), reference_cs_matrix(model, seed))
+
+
+def test_cs_design_matrix_holds_no_array_beyond_the_matrix(monkeypatch):
+    # 600 x 2000 doubles, 9.2 MiB, drawn on two threads
+    monkeypatch.setattr(design, "_usable_cpus", lambda: 2)
+    W = build_cs_base_matrix(CouplingParams(3, 8, 0.25))
+    model = CsModel(W=W, p=2000, n=600, sigma2=0.01, prior=bernoulli_gauss_prior(0.1, 1.0))
+    np.random.default_rng(0)  # numpy.random's import stays out of the peak
+    tracemalloc.start()
+    try:
+        A = cs_design_matrix(model, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert A.shape == (600, 2000)
+    # 256 KiB covers the seeds, generators and helper thread; a temporary
+    # of one row block (940 KiB) or of the matrix would not fit
+    assert peak <= A.nbytes + 2**18
 
 
 def test_mse_expectation_gaussian_closed_form():

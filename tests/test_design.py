@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scsparc import design
+from scsparc.cs_amp import CsModel, bernoulli_gauss_prior, build_cs_base_matrix, cs_design_matrix
 from scsparc.design import build_dft_design, build_gaussian_design
 from scsparc.message import random_message
 from scsparc.params import (
@@ -18,6 +19,7 @@ from scsparc.params import (
 from design_oracles import (
     dense_form,
     reference_apply,
+    reference_dense_row_mats,
     reference_dft_blocks,
     reference_scaled_adjoint,
 )
@@ -43,27 +45,96 @@ def test_dense_block_structure():
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("rho", [0.0, 0.25])
 def test_dense_draw_order(field, rho):
-    # oracle: one generator draws the nonzero blocks in row-major order
-    # omega=3: row-major and column-major block orders differ even at rho=0
+    # oracle: row block r is one whole draw from child r of the seed;
+    # rho=0.25 fills every block, so row blocks differ in width at rho=0 only
     base = build_base_matrix(CouplingParams(3, 5, rho))
     params = SparcParams(n=56, M=4, L=10, base=base, sigma2=0.1)
     op = build_gaussian_design(params, base, seed=11, field=field)
-    rng = np.random.default_rng(11)
-    nr, nc = op.rows_per_block, op.cols_per_block
-    ref = np.zeros((op.n_rows, op.n_cols), dtype=float if field == "real" else complex)
-    for r in range(base.rows):
-        for c in range(base.cols):
-            var = base.entries[r, c] / params.L
-            if var == 0.0:
-                continue
-            if field == "real":
-                blk = np.sqrt(var) * rng.standard_normal((nr, nc))
-            else:
-                blk = np.sqrt(var / 2.0) * (
-                    rng.standard_normal((nr, nc)) + 1j * rng.standard_normal((nr, nc))
-                )
-            ref[r * nr : (r + 1) * nr, c * nc : (c + 1) * nc] = blk
-    assert np.array_equal(dense_form(op), ref)
+    ref = reference_dense_row_mats(params, base, 11, field)
+    assert len(op._row_mats) == len(ref) == base.rows
+    for got, want in zip(op._row_mats, ref):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_draw_pool_threads(monkeypatch):
+    # a design of 4 MiB or more is drawn on min(usable CPUs, row blocks)
+    # threads: the calling thread and a pool of the others
+    made = []
+
+    class Pool(design.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(design, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(design, "_usable_cpus", lambda: 3)
+    base = build_base_matrix(CouplingParams(2, 4))
+    build_gaussian_design(SparcParams(n=40, M=4, L=8, base=base, sigma2=0.1), base, seed=0)
+    # 8 nonzero blocks of 8 x 4096 and of 8 x 8192 doubles: 2 and 4 MiB
+    half = SparcParams(n=40, M=2**8, L=2**6, base=base, sigma2=0.1)
+    large = SparcParams(n=40, M=2**9, L=2**6, base=base, sigma2=0.1)
+    build_gaussian_design(half, base, seed=0)
+    assert made == []
+    build_gaussian_design(large, base, seed=0)
+    assert made == [2]
+    monkeypatch.setattr(design, "_usable_cpus", lambda: 64)
+    build_gaussian_design(large, base, seed=0)
+    assert made == [2, 4]
+
+
+def thread_count_designs():
+    """Dense real, dense complex and CS designs; the dense ones have a row
+    block that stores no block."""
+    W = BaseMatrix(np.array([[1.5, 1.5, 0.0], [1.5, 0.0, 1.5], [0.0, 0.0, 0.0]]))
+    params = SparcParams(n=96, M=4, L=12, base=W, sigma2=0.1)
+    Wcs = build_cs_base_matrix(CouplingParams(3, 8, 0.1))
+    model = CsModel(W=Wcs, p=400, n=200, sigma2=0.01, prior=bernoulli_gauss_prior(0.1, 1.0))
+    return [
+        lambda: build_gaussian_design(params, W, seed=4)._row_mats,
+        lambda: build_gaussian_design(params, W, seed=4, field="complex")._row_mats,
+        lambda: [cs_design_matrix(model, seed=4)],
+    ]
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["dense-real", "dense-complex", "cs"])
+def test_draws_do_not_depend_on_the_thread_count(monkeypatch, kind):
+    build = thread_count_designs()[kind]
+    monkeypatch.setattr(design, "_usable_cpus", lambda: 1)
+    inline = build()
+    monkeypatch.setattr(design, "_POOL_MIN_BYTES", 0)
+    for threads in (2, 3):
+        monkeypatch.setattr(design, "_usable_cpus", lambda: threads)
+        for chunk in (1, 2**20):  # one row per chunk, and whole row blocks
+            monkeypatch.setattr(design, "_CHUNK_BYTES", chunk)
+            for got, want in zip(build(), inline, strict=True):
+                assert np.array_equal(got, want)
+
+
+def test_a_reused_seed_object_gives_the_same_design():
+    # a builder must not spawn from the caller's SeedSequence, which would
+    # move its spawn counter and so the next design drawn from it
+    params, W = small_params()
+    dft, Wd = dft_params(2, 4, 0.25)
+    Wcs = build_cs_base_matrix(CouplingParams(3, 8, 0.1))
+    model = CsModel(W=Wcs, p=400, n=200, sigma2=0.01, prior=bernoulli_gauss_prior(0.1, 1.0))
+
+    def dft_draws(s):
+        op = build_dft_design(dft, Wd, s)
+        return [op._rows, op._perm, op._phases]
+
+    builds = [
+        lambda s: build_gaussian_design(params, W, s)._row_mats,
+        lambda s: build_gaussian_design(params, W, s, field="complex")._row_mats,
+        dft_draws,
+        lambda s: [cs_design_matrix(model, s)],
+    ]
+    for build in builds:
+        seed = np.random.SeedSequence(5)
+        first, second = build(seed), build(seed)
+        # a fresh root with this entropy draws the design an int seed does
+        for a, b, c in zip(first, second, build(5), strict=True):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 def test_dense_block_variance():
@@ -306,8 +377,10 @@ def test_dense_row_block_without_blocks(field):
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_dense_build_holds_one_block_beyond_the_stored_ones(field):
-    # 15 nonzero blocks of 64 x 512 entries
+def test_dense_build_holds_no_array_beyond_the_stored_ones(monkeypatch, field):
+    # 15 nonzero blocks of 64 x 512 entries: 3.75 MiB real, drawn inline,
+    # and 7.5 MiB complex, drawn on two threads
+    monkeypatch.setattr(design, "_usable_cpus", lambda: 2)
     base = build_base_matrix(CouplingParams(3, 5))
     rows = 64 * base.rows
     n = rows if field == "real" else 2 * rows
@@ -322,7 +395,9 @@ def test_dense_build_holds_one_block_beyond_the_stored_ones(field):
     block = op.rows_per_block * op.cols_per_block * op.dtype.itemsize
     stored = sum(mat.nbytes for mat in op._row_mats)
     assert len(op._nonzero) == 15 and stored == 15 * block
-    assert peak <= stored + 1.1 * block
+    # 256 KiB covers the seeds, generators and helper thread; a block
+    # buffer (256 or 512 KiB) on top of those would not fit
+    assert peak <= stored + 2**18
 
 
 # (omega, Lambda, rho) -> nonzero blocks: one block, one to five blocks

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+from scsparc import design
 from scsparc.cli import main as cli_main
 from scsparc.harness import (
     CSV_COLUMNS,
@@ -125,6 +126,41 @@ def test_run_experiment_parallel_matches_serial(monkeypatch):
     serial = csv_bytes(run_experiment(cfg))
     monkeypatch.setenv("SCSPARC_WORKERS", "2")
     parallel = csv_bytes(run_experiment(cfg))
+    assert serial == parallel
+
+
+FORKED_RUNS = """
+import json, os, sys
+from scsparc import design
+from scsparc.harness import run_experiment, write_results_csv, ExperimentConfig
+design._usable_cpus = lambda: 2  # the forked workers inherit it
+cfg = ExperimentConfig.from_mapping(json.loads(sys.argv[1]))
+for workers in ("1", "2"):
+    os.environ["SCSPARC_WORKERS"] = workers
+    write_results_csv(run_experiment(cfg), sys.stdout)
+"""
+
+
+def test_forked_workers_draw_on_the_thread_pool():
+    # A serial run draws its designs on the thread pool, then the same
+    # process forks the trial workers of a parallel run, which draw theirs
+    # on a pool too. A pool left running by a build could hang a forked
+    # child, so the runs go in a child process with a timeout.
+    raw = dict(SMALL, code=dict(SMALL["code"], L=256, M=16))
+    raw["sim"] = dict(raw["sim"], trials=2, t_max=6)
+    cfg = ExperimentConfig.from_mapping(raw)
+    params, W = cfg.code_params(*cfg.sweep[0])
+    nbytes = np.count_nonzero(W.entries) * params.n // W.rows * params.M * params.L // W.cols * 8
+    assert nbytes >= design._POOL_MIN_BYTES
+    proc = subprocess.run(
+        [sys.executable, "-c", FORKED_RUNS, json.dumps(raw)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header = f"# {SCHEMA_VERSION}\n"
+    serial, parallel = proc.stdout.split(header)[1:]
     assert serial == parallel
 
 

@@ -14,7 +14,6 @@ from .channel import ebn0_db, snr_from_db, transmit
 from .cs_amp import (
     BgBayesDenoiser,
     CsModel,
-    MixturePrior,
     bernoulli_gauss_prior,
     build_cs_base_matrix,
     cs_amp_decode,

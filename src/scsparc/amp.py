@@ -47,16 +47,19 @@ PHI_CLAMP_FACTOR = 1e-12
 # decode stops as diverged once some phi exceeds this multiple of
 # sigma2 + max_r mean_c W[r, c]
 DIVERGENCE_FACTOR = 10.0
+# decode stops once phi settles for this many consecutive iteration pairs
+STOP_WINDOW = 2
 
 
 @dataclass
 class AmpConfig:
-    """Decoder knobs. The stopping tolerance and window are configuration
-    defaults, not values pinned by theory."""
+    """Decoder knobs: the iteration cap, and the relative change of phi
+    below which decode counts an iteration pair as settled (STOP_WINDOW
+    settled pairs in a row stop it). The tolerance is a default, not a
+    value pinned by theory; a tolerance of 0 runs all t_max iterations."""
 
     t_max: int = 200
     stop_tol: float = 1e-4
-    stop_window: int = 2
 
 
 @dataclass
@@ -117,19 +120,17 @@ class OnlineSeSource:
 
     `sigma` estimates sigma_r from the energy of the current soft estimate
     beta alone. `values(t, state, sigma_r)` gives (phi_r, tau_c): phi_r is
-    sigma2 + sigma_r when the noise variance is known (or before the first
+    params.sigma2 + sigma_r when `known_sigma` is set (or before the first
     residual exists), otherwise the empirical residual energy per row
     block; tau_c follows from phi. A nonpositive phi_r is clamped to
     PHI_CLAMP_FACTOR times the unit signal power and marks the state as
     clamped.
     """
 
-    def __init__(self, W: BaseMatrix, params: SparcParams, sigma2_known: float | None):
-        if sigma2_known is not None and not (np.isfinite(sigma2_known) and sigma2_known > 0):
-            raise ValueError(f"sigma2_known must be positive and finite, got {sigma2_known}")
+    def __init__(self, W: BaseMatrix, params: SparcParams, known_sigma: bool):
         self.W = W
         self.params = params
-        self.sigma2_known = sigma2_known
+        self.known_sigma = known_sigma
 
     def sigma(self, t, state):
         W = self.W
@@ -138,9 +139,8 @@ class OnlineSeSource:
 
     def values(self, t, state, sigma_r):
         W, params = self.W, self.params
-        if self.sigma2_known is not None or state.z is None:
-            sigma2 = params.sigma2 if self.sigma2_known is None else self.sigma2_known
-            phi_r = sigma2 + sigma_r
+        if self.known_sigma or state.z is None:
+            phi_r = params.sigma2 + sigma_r
         else:
             phi_r = (np.abs(state.z) ** 2).reshape(W.rows, -1).mean(axis=1)
         if np.any(phi_r <= 0):
@@ -230,14 +230,12 @@ def amp_iterate(
     return state
 
 
-def should_stop(phi_trace: list, tol: float, window: int) -> bool:
+def should_stop(phi_trace: list, tol: float) -> bool:
     """True when the max relative change of phi stayed below tol for
-    `window` consecutive iteration pairs."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if len(phi_trace) < window + 1:
+    STOP_WINDOW consecutive iteration pairs."""
+    if len(phi_trace) < STOP_WINDOW + 1:
         return False
-    for i in range(len(phi_trace) - window, len(phi_trace)):
+    for i in range(len(phi_trace) - STOP_WINDOW, len(phi_trace)):
         prev, cur = phi_trace[i - 1], phi_trace[i]
         if np.max(np.abs(cur - prev) / prev) >= tol:
             return False
@@ -297,7 +295,7 @@ def decode(
             diverged = True
             stop_reason = "diverged"
             break
-        if should_stop(state.phi_trace, cfg.stop_tol, cfg.stop_window):
+        if should_stop(state.phi_trace, cfg.stop_tol):
             stop_reason = "converged"
             break
 

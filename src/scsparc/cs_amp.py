@@ -1,11 +1,11 @@
 """AMP for compressed sensing with spatially coupled measurement matrices.
 
 The measurement matrix has independent Gaussian blocks with variances given
-by a base matrix whose columns sum to one; the signal prior is a generic
-Gaussian mixture (Bernoulli-Gauss as the main case). State evolution tracks
-the per-column-block mean squared error, with the scalar expectations
-computed by Gauss-Hermite quadrature, and predicts the per-iteration MSE of
-the matching AMP recursion.
+by a base matrix whose columns sum to one; the signal prior is
+Bernoulli-Gauss (zero with probability 1-eps, N(0, v) otherwise). State
+evolution tracks the per-column-block mean squared error, with the scalar
+expectations computed by Gauss-Hermite quadrature, and predicts the
+per-iteration MSE of the matching AMP recursion.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .params import CouplingParams, build_base_matrix
 from .state_evolution import normal_quadrature
 
 __all__ = [
-    "MixturePrior",
+    "BernoulliGaussPrior",
     "bernoulli_gauss_prior",
     "BgBayesDenoiser",
     "CsModel",
@@ -38,44 +38,39 @@ GH_NODES = 64
 
 
 @dataclass(frozen=True)
-class MixturePrior:
-    """Gaussian mixture prior; an atom is a component with zero variance."""
+class BernoulliGaussPrior:
+    """Zero with probability 1-eps, N(0, v) with probability eps."""
 
-    weights: tuple
-    means: tuple
-    variances: tuple
+    eps: float
+    v: float
 
     def __post_init__(self):
-        if not len(self.weights) == len(self.means) == len(self.variances):
-            raise ValueError("weights, means and variances must have equal lengths")
-        if not math.isclose(sum(self.weights), 1.0, rel_tol=1e-12):
-            raise ValueError("mixture weights must sum to one")
-        if not all(x >= 0 for x in (*self.weights, *self.variances)):
-            raise ValueError("mixture weights and variances must be nonnegative")
+        if not 0.0 < self.eps <= 1.0:
+            raise ValueError(f"eps must be in (0, 1], got {self.eps}")
+        if self.v <= 0:
+            raise ValueError(f"v must be positive, got {self.v}")
 
     @property
     def second_moment(self) -> float:
-        return sum(
-            w * (m * m + v)
-            for w, m, v in zip(self.weights, self.means, self.variances)
-        )
+        return self.eps * self.v
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        comp = rng.choice(len(self.weights), size=size, p=self.weights)
-        means = np.asarray(self.means)[comp]
-        stds = np.sqrt(np.asarray(self.variances))[comp]
-        return means + stds * rng.standard_normal(size)
+        """A component per entry (the atom at 0, or N(0, v); only the
+        latter when eps = 1), then a standard normal scaled by that
+        component's standard deviation. The mean 0.0 is added so that an
+        atom reads +0.0, never -0.0."""
+        if self.eps == 1.0:
+            weights, variances = (1.0,), (self.v,)
+        else:
+            weights, variances = (1.0 - self.eps, self.eps), (0.0, self.v)
+        comp = rng.choice(len(weights), size=size, p=weights)
+        return 0.0 + np.sqrt(np.asarray(variances))[comp] * rng.standard_normal(size)
 
 
-def bernoulli_gauss_prior(eps: float, v: float) -> MixturePrior:
-    """Zero with probability 1-eps, N(0, v) with probability eps."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    if v <= 0:
-        raise ValueError(f"v must be positive, got {v}")
-    if eps == 1.0:
-        return MixturePrior((1.0,), (0.0,), (v,))
-    return MixturePrior((1.0 - eps, eps), (0.0, 0.0), (0.0, v))
+def bernoulli_gauss_prior(eps: float, v: float) -> BernoulliGaussPrior:
+    """The Bernoulli-Gauss prior BG(eps, v); raises ValueError unless
+    0 < eps <= 1 and v > 0."""
+    return BernoulliGaussPrior(eps, v)
 
 
 class BgBayesDenoiser:
@@ -118,7 +113,7 @@ class CsModel:
     p: int
     n: int
     sigma2: float
-    prior: MixturePrior
+    prior: BernoulliGaussPrior
 
     def __post_init__(self):
         W = np.ascontiguousarray(np.asarray(self.W, dtype=float))
@@ -140,10 +135,6 @@ class CsModel:
     @property
     def cols(self) -> int:
         return self.W.shape[1]
-
-    @property
-    def delta(self) -> float:
-        return self.n / self.p
 
     @property
     def rows_per_block(self) -> int:
@@ -178,26 +169,24 @@ def cs_design_matrix(model: CsModel, seed) -> np.ndarray:
     return A
 
 
-def cs_mse_expectation(denoiser, prior: MixturePrior, tau: float) -> float:
+def cs_mse_expectation(denoiser, prior: BernoulliGaussPrior, tau: float) -> float:
     """E[(f(beta + sqrt(tau) G) - beta)^2] for beta ~ prior, G ~ N(0,1),
-    by tensor-product Gauss-Hermite quadrature (exact atoms handled in 1D).
+    by tensor-product Gauss-Hermite quadrature: the atom's part (when
+    eps < 1) is a 1D rule at beta = 0, added before the Gaussian part.
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     g, wn = normal_quadrature(GH_NODES)
-    total = 0.0
-    for w, m, v in zip(prior.weights, prior.means, prior.variances):
-        if v == 0.0:
-            beta = np.array([m])
-            wb = np.array([1.0])
-        else:
-            beta = m + math.sqrt(v) * g
-            wb = wn
+
+    def part(beta, wb):
         s = beta[:, np.newaxis] + math.sqrt(tau) * g[np.newaxis, :]
         f, _ = denoiser(s, tau)
-        err = (f - beta[:, np.newaxis]) ** 2
-        total += w * float(wb @ err @ wn)
-    return total
+        return float(wb @ ((f - beta[:, np.newaxis]) ** 2) @ wn)
+
+    gauss = prior.eps * part(math.sqrt(prior.v) * g, wn)
+    if prior.eps == 1.0:
+        return gauss
+    return (1.0 - prior.eps) * part(np.zeros(1), np.ones(1)) + gauss
 
 
 def cs_se_step(

@@ -62,14 +62,23 @@ OPERATORS = ("dense", "dft")
 _SECTION_KEYS = {
     "code": ("M", "L", "omega", "Lambda", "rho", "rate_bits"),
     "channel": ("snr_db", "field"),
-    "sim": ("trials", "seed", "se_mode", "operator", "t_max", "stop_tol", "stop_window", "mc_samples"),
+    "sim": ("trials", "seed", "se_mode", "operator", "t_max", "mc_samples"),
 }
 _REQUIRED_CODE_KEYS = ("M", "L", "omega", "Lambda", "rate_bits")
+# the integer settings and their least values; a float, bool or string is
+# rejected at load rather than truncated or left to fail mid-sweep
+_INT_MINIMA = dict(M=2, L=1, omega=1, Lambda=1, trials=1, seed=0, t_max=1, mc_samples=1)
+
+
+def _finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Validated experiment description. Every value is checked when the
+    config is built, `coupling` (the CouplingParams of omega, Lambda and
+    rho) included, so a bad value never stops a sweep part-way."""
 
     M: int
     L: int
@@ -84,24 +93,28 @@ class ExperimentConfig:
     se_mode: str = "online"
     operator: str = "dense"
     t_max: int = 200
-    stop_tol: float = 1e-4
-    stop_window: int = 2
     mc_samples: int = 10000
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for key, least in _INT_MINIMA.items():
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{key} must be >= {least}, got {value}")
+        # not a field, so asdict (and diagnostics.json) leaves it out
+        object.__setattr__(self, "coupling", CouplingParams(self.omega, self.Lambda, self.rho))
+        if self.L % self.Lambda:
+            raise ValueError(f"L ({self.L}) must be a multiple of Lambda ({self.Lambda})")
         if self.se_mode not in SE_MODES:
             raise ValueError(f"se_mode must be one of {SE_MODES}, got {self.se_mode!r}")
         if self.operator not in OPERATORS:
             raise ValueError(f"operator must be one of {OPERATORS}, got {self.operator!r}")
         if self.field_kind not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field_kind!r}")
-        if self.t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
-        if not self.rate_bits or not all(math.isfinite(r) and r > 0 for r in self.rate_bits):
+        if not self.rate_bits or not all(_finite_number(r) and r > 0 for r in self.rate_bits):
             raise ValueError(f"rate_bits must list positive finite values, got {self.rate_bits}")
-        if not self.snr_db or not all(math.isfinite(s) for s in self.snr_db):
+        if not self.snr_db or not all(_finite_number(s) for s in self.snr_db):
             raise ValueError(f"snr_db must list finite values, got {self.snr_db}")
         if len(self.rate_bits) > 1 and len(self.snr_db) > 1:
             raise ValueError("only one of rate_bits / snr_db may be a sweep list")
@@ -131,10 +144,10 @@ class ExperimentConfig:
             return tuple(x) if isinstance(x, (list, tuple)) else (x,)
 
         kwargs = dict(
-            M=int(code["M"]),
-            L=int(code["L"]),
-            omega=int(code["omega"]),
-            Lambda=int(code["Lambda"]),
+            M=code["M"],
+            L=code["L"],
+            omega=code["omega"],
+            Lambda=code["Lambda"],
             rho=float(code.get("rho", 0.0)),
             rate_bits=listify(code["rate_bits"]),
             snr_db=listify(channel["snr_db"]),
@@ -158,11 +171,10 @@ class ExperimentConfig:
         return [(sd, self.rate_bits[0]) for sd in self.snr_db]
 
     def code_params(self, snr_db: float, rate_bits: float):
-        coupling = CouplingParams(self.omega, self.Lambda, self.rho)
         sigma2 = 1.0 / snr_from_db(snr_db)
         need_even = self.field_kind == "complex" or self.operator == "dft"
         params = derive_code_params(
-            rate_bits * LN2, self.M, coupling, self.L, sigma2, even=need_even
+            rate_bits * LN2, self.M, self.coupling, self.L, sigma2, even=need_even
         )
         return params, params.base
 
@@ -208,12 +220,9 @@ def run_trial(
             raise ValueError("se_mode 'offline' needs a precomputed se_traj")
         se = OfflineSeSource(se_traj, W, params)
     else:
-        sigma2_known = params.sigma2 if cfg.se_mode == "online_known_sigma" else None
-        se = OnlineSeSource(W, params, sigma2_known)
+        se = OnlineSeSource(W, params, known_sigma=cfg.se_mode == "online_known_sigma")
 
-    amp_cfg = AmpConfig(
-        t_max=cfg.t_max, stop_tol=cfg.stop_tol, stop_window=cfg.stop_window
-    )
+    amp_cfg = AmpConfig(t_max=cfg.t_max)
     # decode computes the per-iteration NMSE only when it is kept
     decoded, diag = decode(op, y, se, amp_cfg, truth=beta if keep_progression else None)
     return TrialResult(
@@ -258,7 +267,10 @@ def run_experiment(cfg: ExperimentConfig, keep_progression: bool = False) -> lis
     Trial-level parallelism via a process pool when SCSPARC_WORKERS > 1;
     seed assignment is positional so results do not depend on scheduling.
     """
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    raw = os.environ.get(WORKERS_ENV, "1")
+    workers = int(raw) if raw.strip().isdecimal() else 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
     records = []
     for point, (snr_db, rate_bits) in enumerate(cfg.sweep):
         se_traj = (

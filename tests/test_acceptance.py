@@ -142,7 +142,7 @@ def test_criterion_02_ser_nmse_inequality():
         op = build_gaussian_design(params, base, seed=trial)
         beta = random_message(M, 8, seed=trial + 1)
         y = transmit(op.apply(beta), params.sigma2, seed=trial + 2)
-        se = OnlineSeSource(base, params, params.sigma2)
+        se = OnlineSeSource(base, params, known_sigma=True)
         decoded, diag = decode(op, y, se, AmpConfig(t_max=8), truth=beta)
         if diag.ser > 4.0 * diag.nmse_overall + 1e-12:
             violations += 1
@@ -411,8 +411,7 @@ def _trial_with_diag(cfg, trial, t_max=None):
     op = build_dft_design(params, W, _trial_seed(cfg.seed, 0, trial, _ROLE_DESIGN))
     beta = random_message(params.M, params.L, _trial_seed(cfg.seed, 0, trial, _ROLE_MESSAGE))
     y = transmit(op.apply(beta), params.sigma2, _trial_seed(cfg.seed, 0, trial, _ROLE_NOISE))
-    sigma2_known = params.sigma2 if cfg.se_mode == "online_known_sigma" else None
-    se = OnlineSeSource(W, params, sigma2_known)
+    se = OnlineSeSource(W, params, known_sigma=cfg.se_mode == "online_known_sigma")
     amp_cfg = (
         AmpConfig(t_max=t_max, stop_tol=0.0)
         if t_max is not None

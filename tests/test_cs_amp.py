@@ -8,9 +8,9 @@ import pytest
 
 from scsparc import design
 from scsparc.cs_amp import (
+    GH_NODES,
     BgBayesDenoiser,
     CsModel,
-    MixturePrior,
     bernoulli_gauss_prior,
     build_cs_base_matrix,
     cs_amp_decode,
@@ -20,6 +20,7 @@ from scsparc.cs_amp import (
     run_cs_se,
 )
 from scsparc.params import CouplingParams
+from scsparc.state_evolution import normal_quadrature
 from design_oracles import reference_cs_matrix
 
 
@@ -34,11 +35,37 @@ def test_prior_moments_and_sampling():
         bernoulli_gauss_prior(0.0, 1.0)
     with pytest.raises(ValueError):
         bernoulli_gauss_prior(0.5, -1.0)
-    # unequal lengths, weights not summing to one, negative weight/variance
-    for args in [((0.5, 0.5), (0.0,), (1.0, 1.0)), ((0.5, 0.4), (0.0, 0.0), (1.0, 1.0)),
-                 ((1.5, -0.5), (0.0, 0.0), (1.0, 1.0)), ((1.0,), (0.0,), (-1.0,))]:
-        with pytest.raises(ValueError):
-            MixturePrior(*args)
+    with pytest.raises(ValueError):
+        bernoulli_gauss_prior(1.5, 1.0)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1.0])
+def test_prior_matches_the_mixture_formulas(eps):
+    # the draw, second moment and MSE expectation of the Gaussian-mixture
+    # forms, bit for bit: a component per entry, then a scaled normal; the
+    # moment and the quadrature summed over the components in order. An
+    # atom is a component with zero variance; eps = 1 has none.
+    v = 1.7
+    if eps == 1.0:
+        weights, means, variances = (1.0,), (0.0,), (v,)
+    else:
+        weights, means, variances = (1.0 - eps, eps), (0.0, 0.0), (0.0, v)
+    rng = np.random.default_rng(5)
+    comp = rng.choice(len(weights), size=5000, p=weights)
+    stds = np.sqrt(np.asarray(variances))
+    want = np.asarray(means)[comp] + stds[comp] * rng.standard_normal(5000)
+    prior = bernoulli_gauss_prior(eps, v)
+    got = prior.sample(5000, np.random.default_rng(5))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert prior.second_moment == sum(w * (m * m + s) for w, m, s in zip(weights, means, variances))
+    den, tau = BgBayesDenoiser(0.2, v), 0.3
+    g, wn = normal_quadrature(GH_NODES)
+    total = 0.0
+    for w, m, s in zip(weights, means, variances):
+        beta, wb = (np.array([m]), np.array([1.0])) if s == 0.0 else (m + math.sqrt(s) * g, wn)
+        f, _ = den(beta[:, None] + math.sqrt(tau) * g[None, :], tau)
+        total += w * float(wb @ ((f - beta[:, None]) ** 2) @ wn)
+    assert cs_mse_expectation(den, prior, tau) == total
 
 
 def test_cs_model_and_tau_validation():

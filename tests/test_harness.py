@@ -89,6 +89,27 @@ def with_section(name, **keys):
         pytest.param(with_section("channel", snr_db=-math.inf), {}, "snr_db", id="snr-minus-inf"),
         pytest.param(with_section("channel", snr_db=math.nan), {}, "snr_db", id="snr-nan"),
         pytest.param(SMALL, dict(t_max=0), "t_max", id="t_max-0"),
+        # integer settings that are not integers, and values out of range,
+        # rejected at load rather than truncated or failing mid-sweep
+        pytest.param(SMALL, dict(trials=2.5), "trials", id="trials-float"),
+        pytest.param(SMALL, dict(trials=True), "trials", id="trials-bool"),
+        pytest.param(SMALL, dict(t_max=2.5), "t_max", id="t_max-float"),
+        pytest.param(SMALL, dict(seed=-1), "seed", id="seed-negative"),
+        pytest.param(SMALL, dict(seed="7"), "seed", id="seed-string"),
+        pytest.param(SMALL, dict(mc_samples=0), "mc_samples", id="mc_samples-0"),
+        pytest.param(SMALL, dict(mc_samples=1e4), "mc_samples", id="mc_samples-float"),
+        pytest.param(with_section("code", M=16.5), {}, "M", id="M-float"),
+        pytest.param(with_section("code", M=1), {}, "M", id="M-1"),
+        pytest.param(with_section("code", L="16"), {}, "L", id="L-string"),
+        pytest.param(with_section("code", L=18), {}, "L", id="L-not-multiple"),
+        pytest.param(with_section("code", omega=2.0), {}, "omega", id="omega-float"),
+        pytest.param(with_section("code", omega=0), {}, "omega", id="omega-0"),
+        pytest.param(with_section("code", Lambda=False), {}, "Lambda", id="Lambda-bool"),
+        pytest.param(with_section("code", omega=2, Lambda=2), {}, "Lambda", id="Lambda-short"),
+        pytest.param(with_section("code", rho=1.5), {}, "rho", id="rho-1.5"),
+        pytest.param(with_section("code", rate_bits="1.5"), {}, "rate_bits", id="rate-string"),
+        pytest.param(with_section("code", rate_bits=True), {}, "rate_bits", id="rate-bool"),
+        pytest.param(with_section("channel", snr_db=["11"]), {}, "snr_db", id="snr-string"),
     ],
 )
 def test_config_validation_raises_value_error(raw, over, named):
@@ -127,6 +148,13 @@ def test_run_experiment_parallel_matches_serial(monkeypatch):
     monkeypatch.setenv("SCSPARC_WORKERS", "2")
     parallel = csv_bytes(run_experiment(cfg))
     assert serial == parallel
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
+def test_workers_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("SCSPARC_WORKERS", value)
+    with pytest.raises(ValueError, match="SCSPARC_WORKERS"):
+        run_experiment(small_config())
 
 
 FORKED_RUNS = """

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import yaml
+
 import scsparc
+from scsparc.harness import _SECTION_KEYS, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 # public names that only the acceptance tests call, as the references that
@@ -92,3 +95,16 @@ def test_every_benchmark_probe_installs_on_the_package():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_config_block_shows_every_accepted_key():
+    # the README's YAML block is the config reference: it lists each key
+    # the harness accepts, no other, and loads as it stands
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    raw = yaml.safe_load(block)
+    shown = {(section, key) for section, keys in raw.items() for key in keys}
+    accepted = {(section, key) for section, keys in _SECTION_KEYS.items() for key in keys}
+    assert not accepted - shown, f"accepted keys missing from README: {sorted(accepted - shown)}"
+    assert not shown - accepted, f"README keys the harness rejects: {sorted(shown - accepted)}"
+    ExperimentConfig.from_mapping(raw)

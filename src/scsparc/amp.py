@@ -102,7 +102,7 @@ class OfflineSeSource:
         self.sigma2 = params.sigma2
         sigma_r = W.entries @ traj.psi[-1] / W.cols
         phi_r = params.sigma2 + sigma_r
-        self._tail = (sigma_r, phi_r, column_tau(W, phi_r, params.L / params.n))
+        self._tail = (sigma_r, phi_r, column_tau(W.entries, phi_r, params.L / params.n))
 
     def sigma(self, t, state):
         if t >= self.traj.iterations:
@@ -146,7 +146,7 @@ class OnlineSeSource:
         if np.any(phi_r <= 0):
             phi_r = np.maximum(phi_r, PHI_CLAMP_FACTOR)
             state.clamped = True
-        return phi_r, column_tau(W, phi_r, params.L / params.n)
+        return phi_r, column_tau(W.entries, phi_r, params.L / params.n)
 
 
 def eta_denoise(s: np.ndarray, tau: np.ndarray, M: int, col_blocks: int) -> np.ndarray:

@@ -5,7 +5,8 @@ by a base matrix whose columns sum to one; the signal prior is
 Bernoulli-Gauss (zero with probability 1-eps, N(0, v) otherwise). State
 evolution tracks the per-column-block mean squared error, with the scalar
 expectations computed by Gauss-Hermite quadrature, and predicts the
-per-iteration MSE of the matching AMP recursion.
+per-iteration MSE of the matching AMP recursion. It is the SPARC recursion
+with other constants: the same loop, phi/tau step and `column_tau`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .design import _draw_gaussian_rows
 from .params import CouplingParams, build_base_matrix
-from .state_evolution import normal_quadrature
+from .state_evolution import SeTrajectory, _iterate, _phi_tau, column_tau, normal_quadrature
 
 __all__ = [
     "BernoulliGaussPrior",
@@ -30,7 +31,6 @@ __all__ = [
     "cs_se_step",
     "run_cs_se",
     "cs_amp_decode",
-    "CsSeTrajectory",
     "CsDecodeResult",
 ]
 
@@ -119,6 +119,8 @@ class CsModel:
         W = np.ascontiguousarray(np.asarray(self.W, dtype=float))
         if W.ndim != 2 or not np.all(W >= 0):
             raise ValueError("W must be a nonnegative 2-dimensional array")
+        if not W.any(axis=0).all():
+            raise ValueError(f"W column {np.argmin(W.any(axis=0))} is all zero")
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
         if self.p % self.cols != 0:
@@ -195,36 +197,18 @@ def cs_se_step(
     """One state-evolution step: effective noise phi_r per row block,
     observation variance tau_c per column block, and the next per-block
     MSE psi of the denoiser on signals drawn from model.prior (which need
-    not be the prior the denoiser assumes)."""
-    W = model.W
-    phi = model.sigma2 + (model.cols_per_block / model.rows_per_block) * (W @ psi)
-    tau = 1.0 / ((W / phi[:, np.newaxis]).sum(axis=0))
+    not be the prior the denoiser assumes). phi and tau are SPARC's, with
+    d = mr/mc and scale 1/R_blocks, so tau_c = 1 / sum_r W_rc/phi_r."""
+    d = model.rows_per_block / model.cols_per_block
+    phi, tau = _phi_tau(model.W, psi, model.sigma2, d, 1.0 / model.rows)
     psi_next = np.array([cs_mse_expectation(denoiser, model.prior, t) for t in tau])
     return phi, tau, psi_next
 
 
-@dataclass
-class CsSeTrajectory:
-    psi: np.ndarray  # (T+1, C), per-coordinate MSE per column block
-    phi: np.ndarray  # (T, R)
-    tau: np.ndarray  # (T, C)
-
-    @property
-    def mse_pred(self) -> np.ndarray:
-        """Predicted MSE per signal coordinate at each iteration."""
-        return self.psi.mean(axis=1)
-
-
-def run_cs_se(model: CsModel, denoiser, t_max: int = 50) -> CsSeTrajectory:
+def run_cs_se(model: CsModel, denoiser, t_max: int = 50) -> SeTrajectory:
     """Iterate state evolution from psi = E[beta^2] for t_max steps."""
-    psi = np.full(model.cols, model.prior.second_moment)
-    psis, phis, taus = [psi], [], []
-    for _ in range(t_max):
-        phi, tau, psi = cs_se_step(psi, model, denoiser)
-        phis.append(phi)
-        taus.append(tau)
-        psis.append(psi)
-    return CsSeTrajectory(np.array(psis), np.array(phis), np.array(taus))
+    psi0 = np.full(model.cols, model.prior.second_moment)
+    return _iterate(lambda psi: cs_se_step(psi, model, denoiser), psi0, model.rows, t_max)
 
 
 @dataclass
@@ -255,17 +239,15 @@ def cs_amp_decode(
     W = model.W
     x = np.zeros(model.p)
     z = y.copy()
-    prev = None  # (phi, tau, block-mean of f')
     mse_rows = []
     phis, taus = [], []
 
     for t in range(t_max):
-        if prev is not None:
-            phi_prev, tau_prev, fmean_prev = prev
-            upsilon = (mc / mr) * (W @ (tau_prev * fmean_prev)) / phi_prev
+        if t > 0:
+            upsilon = (mc / mr) * (W @ (taus[-1] * fmean)) / phis[-1]
             z = y - A @ x + np.repeat(upsilon, mr) * z
         phi = (z * z).reshape(model.rows, mr).mean(axis=1)
-        tau = 1.0 / ((W / phi[:, np.newaxis]).sum(axis=0))
+        tau = column_tau(W, phi, 1.0 / model.rows)
         # Q = outer(1/phi, tau) is rank one, so (Q ⊙ A)^T z factorizes
         s = x + np.repeat(tau, mc) * (A.T @ (z / np.repeat(phi, mr)))
         x_new = np.empty_like(x)
@@ -276,7 +258,6 @@ def cs_amp_decode(
             x_new[sl] = f
             fmean[c] = fp.mean()
         x = x_new
-        prev = (phi, tau, fmean)
         phis.append(phi)
         taus.append(tau)
         if x_true is not None:

@@ -96,6 +96,9 @@ class ExperimentConfig:
     mc_samples: int = 10000
 
     def __post_init__(self):
+        if not _finite_number(self.rho):
+            raise ValueError(f"rho must be a finite number, got {self.rho!r}")
+        object.__setattr__(self, "rho", float(self.rho))
         for key, least in _INT_MINIMA.items():
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -148,7 +151,7 @@ class ExperimentConfig:
             L=code["L"],
             omega=code["omega"],
             Lambda=code["Lambda"],
-            rho=float(code.get("rho", 0.0)),
+            rho=code.get("rho", 0.0),
             rate_bits=listify(code["rate_bits"]),
             snr_db=listify(channel["snr_db"]),
             field_kind=str(channel.get("field", "real")),

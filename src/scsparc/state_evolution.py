@@ -152,17 +152,24 @@ class SectionExpectation:
         return float(E[0]) if np.ndim(tau) == 0 else E
 
 
-def column_tau(W: BaseMatrix, phi: np.ndarray, scale: float) -> np.ndarray:
+def column_tau(W: np.ndarray, phi: np.ndarray, scale: float) -> np.ndarray:
     """tau_c = scale * [(1/R_blocks) sum_r W_rc/phi_r]^{-1} per column block.
 
-    State evolution passes scale = R/ln M and the decoder's sources pass
-    L/n; the two are equal in exact arithmetic but not always in the last
-    bit, so each keeps its own.
+    SPARC state evolution passes scale = R/ln M and its decoder's sources
+    L/n, equal in exact arithmetic but not always in the last bit, so each
+    keeps its own; compressed sensing passes 1/R_blocks.
     """
-    col_info = (W.entries / phi[:, np.newaxis]).mean(axis=0)
+    col_info = (W / phi[:, np.newaxis]).mean(axis=0)
     if np.any(col_info <= 0):
         raise ZeroDivisionError("a base-matrix column is identically zero")
     return scale / col_info
+
+
+def _phi_tau(W: np.ndarray, psi: np.ndarray, sigma2: float, d: float, scale: float):
+    """phi_r = sigma2 + (1/d) sum_c W_rc psi_c and tau_c = column_tau(W, phi,
+    scale), the noise levels of SPARC and compressed-sensing SE alike."""
+    phi = sigma2 + W @ psi / d
+    return phi, column_tau(W, phi, scale)
 
 
 def se_step(
@@ -185,8 +192,7 @@ def se_step(
     psi = np.asarray(psi, dtype=float)
     if np.any((psi < 0) | (psi > 1)):
         raise ValueError("psi entries must lie in [0, 1]")
-    phi = sigma2 + W.entries @ psi / W.cols
-    tau = column_tau(W, phi, R / math.log(M))
+    phi, tau = _phi_tau(W.entries, psi, sigma2, W.cols, R / math.log(M))
     # mirror columns get taus that differ by about 1 ulp: evaluate the
     # first tau seen for each 12-significant-digit key, all in one call
     slot_of: dict[str, int] = {}
@@ -204,11 +210,13 @@ def se_step(
 
 @dataclass
 class SeTrajectory:
-    """Per-iteration state-evolution arrays.
+    """Per-iteration arrays of `run_se` or of `cs_amp.run_cs_se`.
 
-    psi has shape (T+1, C) with psi[0] = 1; phi (T, R) and tau (T, C) hold
-    in row t the values used to produce psi[t+1]. The Onsager coefficient
-    sigma = phi - sigma2 and nu = 1/(tau ln M) follow from them.
+    psi has shape (T+1, C); phi (T, R) and tau (T, C) hold in row t the
+    values used to produce psi[t+1]. For SPARC psi is the per-block NMSE
+    from psi[0] = 1; sigma = phi - sigma2 and nu = 1/(tau ln M) follow. For
+    compressed sensing psi is the per-coordinate MSE from the prior's
+    second moment, and reached_threshold is False (no threshold applies).
     """
 
     psi: np.ndarray
@@ -219,6 +227,29 @@ class SeTrajectory:
     @property
     def iterations(self) -> int:
         return self.phi.shape[0]
+
+    @property
+    def mse_pred(self) -> np.ndarray:
+        """Predicted error per coordinate at each iteration."""
+        return self.psi.mean(axis=1)
+
+
+def _iterate(step, psi0: np.ndarray, rows: int, t_max: int, threshold=-math.inf) -> SeTrajectory:
+    """The recursion psi -> step(psi) = (phi, tau, psi_next), phi of length
+    rows, from psi0 for t_max steps or until every psi_c <= threshold."""
+    psi_hist, phi_hist, tau_hist = [psi0], [], []
+    while not np.all(psi_hist[-1] <= threshold) and len(phi_hist) < t_max:
+        phi, tau, psi = step(psi_hist[-1])
+        phi_hist.append(phi)
+        tau_hist.append(tau)
+        psi_hist.append(psi)
+    t = len(phi_hist)
+    return SeTrajectory(
+        psi=np.array(psi_hist),
+        phi=np.array(phi_hist).reshape(t, rows),
+        tau=np.array(tau_hist).reshape(t, psi0.size),
+        reached_threshold=bool(np.all(psi_hist[-1] <= threshold)),
+    )
 
 
 def run_se(
@@ -237,25 +268,9 @@ def run_se(
     if not 0.0 < threshold <= 1.0:
         raise ValueError("stop threshold must lie in (0, 1]")
     expectation = SectionExpectation(params.M, mc_samples, seed)
-    psi_hist = [np.ones(W.cols)]
-    phi_hist, tau_hist = [], []
-    reached = bool(np.all(psi_hist[0] <= threshold))
-    t = 0
-    while not reached and t < t_max:
-        phi, tau, psi_next = se_step(
-            W, psi_hist[-1], params.sigma2, params.R, params.M, expectation
-        )
-        phi_hist.append(phi)
-        tau_hist.append(tau)
-        psi_hist.append(psi_next)
-        reached = bool(np.all(psi_next <= threshold))
-        t += 1
-
-    return SeTrajectory(
-        psi=np.array(psi_hist),
-        phi=np.array(phi_hist).reshape(t, W.rows),
-        tau=np.array(tau_hist).reshape(t, W.cols),
-        reached_threshold=reached,
+    return _iterate(
+        lambda psi: se_step(W, psi, params.sigma2, params.R, params.M, expectation),
+        np.ones(W.cols), W.rows, t_max, threshold,
     )
 
 

@@ -22,6 +22,7 @@ from scsparc.cs_amp import (
 from scsparc.params import CouplingParams
 from scsparc.state_evolution import normal_quadrature
 from design_oracles import reference_cs_matrix
+from se_oracles import reference_run_cs_se
 
 
 def test_prior_moments_and_sampling():
@@ -269,3 +270,45 @@ def test_cs_amp_tracks_se_small():
     emp = acc / trials
     pred = traj.mse_pred[1:13]
     assert np.max(np.abs(emp - pred)) < 0.08
+
+
+def criterion_9_models():
+    """The compressed-sensing problem of criterion 9 and its Wiener case."""
+    Wcs = build_cs_base_matrix(CouplingParams(3, 8, rho=0.25))
+    rows = Wcs.shape[0]
+    n = int(round(0.3 * 20_000 / rows)) * rows
+    model = CsModel(W=Wcs, p=20_000, n=n, sigma2=1e-3, prior=bernoulli_gauss_prior(0.1, 1.0))
+    wiener = CsModel(
+        W=Wcs, p=800, n=n * 800 // 20_000 // rows * rows, sigma2=1e-3,
+        prior=bernoulli_gauss_prior(1.0, 1.0),
+    )
+    return [(model, BgBayesDenoiser(0.1, 1.0)), (wiener, BgBayesDenoiser(1.0, 1.0))]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["criterion-9", "wiener"])
+def test_run_cs_se_matches_the_reference_loop(case):
+    # the shared SE loop moves the CS-only loop's values by rounding only
+    model, den = criterion_9_models()[case]
+    traj = run_cs_se(model, den, t_max=15)
+    ref = reference_run_cs_se(model, den, t_max=15)
+    for name in ("psi", "phi", "tau"):
+        np.testing.assert_allclose(getattr(traj, name), getattr(ref, name), rtol=1e-12, atol=0)
+    assert not traj.reached_threshold
+    np.testing.assert_array_equal(traj.mse_pred, traj.psi.mean(axis=1))
+
+
+def test_run_cs_se_with_no_steps_keeps_the_block_shapes():
+    model, den = criterion_9_models()[1]
+    traj = run_cs_se(model, den, t_max=0)
+    assert traj.psi.shape == (1, model.cols)
+    assert traj.phi.shape == (0, model.rows)
+    assert traj.tau.shape == (0, model.cols)
+
+
+def test_cs_model_rejects_an_all_zero_column():
+    # a zero column has no measurement, so its tau would be infinite
+    with pytest.raises(ValueError, match="column 1"):
+        CsModel(
+            W=np.array([[0.5, 0.0], [0.5, 0.0]]), p=4, n=4, sigma2=1e-2,
+            prior=bernoulli_gauss_prior(1.0, 1.0),
+        )

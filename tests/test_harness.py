@@ -3,8 +3,10 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,12 @@ from scsparc.harness import (
     write_results_csv,
 )
 from scsparc.state_evolution import progression_report
+
+# child processes import the package from src/, as pytest does (pyproject.toml)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+)
 
 SMALL = dict(
     code=dict(M=4, L=16, omega=2, Lambda=4, rho=0.0, rate_bits=1.0),
@@ -107,6 +115,10 @@ def with_section(name, **keys):
         pytest.param(with_section("code", Lambda=False), {}, "Lambda", id="Lambda-bool"),
         pytest.param(with_section("code", omega=2, Lambda=2), {}, "Lambda", id="Lambda-short"),
         pytest.param(with_section("code", rho=1.5), {}, "rho", id="rho-1.5"),
+        pytest.param(with_section("code", rho="0.1"), {}, "rho", id="rho-string"),
+        pytest.param(with_section("code", rho="x"), {}, "rho", id="rho-word"),
+        pytest.param(with_section("code", rho=False), {}, "rho", id="rho-bool"),
+        pytest.param(with_section("code", rho=math.nan), {}, "rho", id="rho-nan"),
         pytest.param(with_section("code", rate_bits="1.5"), {}, "rate_bits", id="rate-string"),
         pytest.param(with_section("code", rate_bits=True), {}, "rate_bits", id="rate-bool"),
         pytest.param(with_section("channel", snr_db=["11"]), {}, "snr_db", id="snr-string"),
@@ -115,6 +127,12 @@ def with_section(name, **keys):
 def test_config_validation_raises_value_error(raw, over, named):
     with pytest.raises(ValueError, match=named):
         ExperimentConfig.from_mapping(raw, **over)
+
+
+def test_integer_rho_is_stored_as_a_float():
+    # so diagnostics.json writes rho: 0 as 0.0
+    cfg = ExperimentConfig.from_mapping(with_section("code", rho=0))
+    assert repr(cfg.rho) == "0.0"
 
 
 def test_offline_trial_without_se_traj_raises():
@@ -185,6 +203,7 @@ def test_forked_workers_draw_on_the_thread_pool():
         capture_output=True,
         text=True,
         timeout=300,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     header = f"# {SCHEMA_VERSION}\n"
@@ -302,6 +321,7 @@ def test_cli_entry_point_installed():
         [sys.executable, "-m", "scsparc.cli", "--help"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout

@@ -17,7 +17,7 @@ from scsparc.state_evolution import (
     run_se,
     se_step,
 )
-from se_oracles import LogsumexpSectionExpectation, mc_expectation_E
+from se_oracles import LogsumexpSectionExpectation, mc_expectation_E, reference_run_se
 
 
 def test_normal_quadrature_is_computed_once_and_read_only():
@@ -312,3 +312,36 @@ def test_run_se_matches_logsumexp_oracle(monkeypatch):
         np.testing.assert_allclose(
             getattr(fast, name), getattr(oracle, name), rtol=0, atol=1e-12
         )
+
+
+def assert_same_trajectory(traj, ref):
+    for name in ("psi", "phi", "tau", "reached_threshold"):
+        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("rate_bits", [1.0, 1.5])
+def test_run_se_matches_the_reference_loop_at_the_offline_sweep_points(rate_bits):
+    # the shared SE loop reproduces the SPARC-only loop bit for bit
+    cfg = ExperimentConfig(
+        M=128, L=1024, omega=6, Lambda=32, rho=0.0, rate_bits=(rate_bits,),
+        snr_db=(10.0 * math.log10(15.0),), field_kind="complex",
+        se_mode="offline", operator="dft", t_max=40, mc_samples=1000,
+    )
+    params, W = cfg.code_params(*cfg.sweep[0])
+    traj = run_se(W, params, t_max=40, mc_samples=1000, seed=5)
+    assert traj.reached_threshold and traj.iterations > 5
+    assert_same_trajectory(traj, reference_run_se(W, params, t_max=40, mc_samples=1000, seed=5))
+
+
+def test_run_se_matches_the_reference_loop_at_threshold_one_and_on_a_stall():
+    params = derive_code_params(1.0 * LN2, 8, CouplingParams(2, 4), 32, sigma2=0.1)
+    traj = run_se(params.base, params, threshold=1.0, t_max=10)
+    assert traj.phi.shape == (0, params.base.rows) and traj.tau.shape == (0, params.base.cols)
+    assert_same_trajectory(traj, reference_run_se(params.base, params, threshold=1.0, t_max=10))
+    # the uncoupled stall of test_run_se_uncoupled_stall, run to t_max
+    snr = 15.0
+    params = derive_code_params(0.98 * 0.5 * math.log1p(snr), 64, CouplingParams(1, 1), 64, 1 / snr)
+    traj = run_se(params.base, params, threshold=1e-2, t_max=30, mc_samples=2000)
+    assert traj.iterations == 30 and not traj.reached_threshold
+    ref = reference_run_se(params.base, params, threshold=1e-2, t_max=30, mc_samples=2000)
+    assert_same_trajectory(traj, ref)

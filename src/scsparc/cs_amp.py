@@ -47,8 +47,8 @@ class BernoulliGaussPrior:
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
             raise ValueError(f"eps must be in (0, 1], got {self.eps}")
-        if self.v <= 0:
-            raise ValueError(f"v must be positive, got {self.v}")
+        if not 0.0 < self.v < math.inf:
+            raise ValueError(f"v must be positive and finite, got {self.v}")
 
     @property
     def second_moment(self) -> float:
@@ -69,7 +69,7 @@ class BernoulliGaussPrior:
 
 def bernoulli_gauss_prior(eps: float, v: float) -> BernoulliGaussPrior:
     """The Bernoulli-Gauss prior BG(eps, v); raises ValueError unless
-    0 < eps <= 1 and v > 0."""
+    0 < eps <= 1 and 0 < v < inf."""
     return BernoulliGaussPrior(eps, v)
 
 
@@ -123,12 +123,15 @@ class CsModel:
             raise ValueError(f"W column {np.argmin(W.any(axis=0))} is all zero")
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
+        for name in ("p", "n"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.p % self.cols != 0:
             raise ValueError("number of column blocks must divide p")
         if self.n % self.rows != 0:
             raise ValueError("number of row blocks must divide n")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not 0.0 <= self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be nonnegative and finite, got {self.sigma2}")
 
     @property
     def rows(self) -> int:
@@ -159,11 +162,11 @@ def cs_design_matrix(model: CsModel, seed) -> np.ndarray:
     entries in block (r, c). Columns have unit expected norm when the base
     matrix columns sum to one.
 
-    Row block r is drawn from child r of the seed straight into the matrix,
-    and each block scaled while its rows are in cache, so the build holds
-    one matrix and nothing more. Large matrices draw their row blocks on a
-    thread per usable CPU, with the same values as one thread
-    (`design._draw_gaussian_rows`)."""
+    Row block r is drawn from an SFC64 generator on child r of the seed
+    straight into the matrix, and each block scaled while its rows are in
+    cache, so the build holds one matrix and nothing more. Large matrices
+    draw their row blocks on a thread per usable CPU, with the same values
+    as one thread (`design._draw_gaussian_rows`)."""
     A = np.empty((model.n, model.p))
     mr = model.rows_per_block
     scales = np.sqrt(model.W / mr)
@@ -233,8 +236,11 @@ def cs_amp_decode(
     z^t = y - A x^t + upsilon ⊙ z^{t-1}; the per-row-block Onsager term is
     the trace of the denoiser Jacobian weighted by the previous block
     coefficients. The effective observation is s = x^t + (Q ⊙ A)^T z^t with
-    Q_rc = tau_c / phi_r, and x^{t+1} = f(s) per column block.
+    Q_rc = tau_c / phi_r, and x^{t+1} = f(s) per column block. It runs
+    exactly t_max >= 0 iterations; the traces have one row per iteration.
     """
+    if t_max < 0:
+        raise ValueError(f"t_max must be nonnegative, got {t_max}")
     mr, mc = model.rows_per_block, model.cols_per_block
     W = model.W
     x = np.zeros(model.p)
@@ -267,6 +273,6 @@ def cs_amp_decode(
         x_hat=x,
         iterations=t_max,
         mse_trace=np.array(mse_rows) if x_true is not None else None,
-        phi_trace=np.array(phis),
-        tau_trace=np.array(taus),
+        phi_trace=np.array(phis).reshape(t_max, model.rows),
+        tau_trace=np.array(taus).reshape(t_max, model.cols),
     )

@@ -8,10 +8,11 @@ W[r, c] != 0, listed in row-major order in `_nonzero`:
    Each row block is stored as one matrix of its nonzero blocks side by
    side, and a product walks it in row chunks that fit in L2, so the AMP
    residual and its adjoint read the stored blocks from memory once.
-   Row block r is drawn from child r of the seed, in place, and the row
-   blocks of a large design are drawn on a thread per usable CPU
-   (`_draw_gaussian_rows`, shared with `cs_amp.cs_design_matrix`); the
-   draws do not depend on the thread count.
+   Row block r is drawn in place from an SFC64 generator seeded with
+   child r of the seed, and the row blocks of a large design are drawn on
+   a thread per usable CPU (`_draw_gaussian_rows`, shared with
+   `cs_amp.cs_design_matrix`); the draws do not depend on the thread
+   count. Every other stream of the package is numpy's default PCG64.
  * dft_fast: each nonzero block is a row subset of a unitary DFT with a
    random column permutation and i.i.d. random phases, scaled so every
    entry has squared magnitude W[r, c]/L. The blocks of one column block
@@ -79,7 +80,8 @@ def _draw_gaussian_rows(arrays: list, scales: list, seed) -> None:
 
     `arrays[r]` is split into len(scales[r]) column segments of equal
     width, and segment j is multiplied by scales[r][j]. Array r draws from
-    child r of the seed (`_child_seeds`), in C order over its entries; a
+    an SFC64 generator on child r of the seed (`_child_seeds`), in C order
+    over its entries (SFC64 draws a standard normal faster than PCG64); a
     complex array draws through its float64 view, so each entry takes two
     consecutive draws, real part first. The draw works in row chunks of
     about _CHUNK_BYTES and scales each chunk while it is in cache.
@@ -119,7 +121,7 @@ def _draw_row_block(a: np.ndarray, scales: np.ndarray, seed) -> None:
     if a.size == 0:
         return
     a = a.view(np.float64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.SFC64(seed))
     step = max(1, _CHUNK_BYTES // a[0].nbytes)
     for lo in range(0, len(a), step):
         chunk = a[lo : lo + step]
@@ -208,11 +210,12 @@ class DenseGaussianDesign(DesignOperator):
     Row block r is stored as one C-contiguous (rows_per_block,
     k_r * cols_per_block) matrix `_row_mats[r]`, its k_r nonzero blocks
     side by side in column order (`_row_cols[r]`). `_row_mats[r]` is drawn
-    in place from child r of the seed and each block scaled to variance
-    W_rc/L (`_draw_gaussian_rows`); a complex entry takes its real and then
-    its imaginary part, each of variance W_rc/(2L). The build holds no
-    array beyond the stored ones, and large designs draw their row blocks
-    on a thread per usable CPU with the same values as one thread.
+    in place from an SFC64 generator on child r of the seed and each block
+    scaled to variance W_rc/L (`_draw_gaussian_rows`); a complex entry
+    takes its real and then its imaginary part, each of variance
+    W_rc/(2L). The build holds no array beyond the stored ones, and large
+    designs draw their row blocks on a thread per usable CPU with the same
+    values as one thread.
 
     Every product runs `_sweep`, one pass over the stored rows in chunks
     of about _CHUNK_BYTES. `residual` forms each chunk's rows of z and, while

@@ -2,10 +2,10 @@
 
 `reference_dense_row_mats` and `reference_cs_matrix` are the documented
 Gaussian draws: row block r of the design is one whole-array
-`standard_normal` from the r-th child `SeedSequence.spawn` gives a fresh
-copy of the seed, times the scale of each block, repeated over its
-columns. A complex row block is that real draw, twice as wide, read as
-interleaved real and imaginary parts.
+`standard_normal` of an SFC64 generator on the r-th child
+`SeedSequence.spawn` gives a fresh copy of the seed, times the scale of
+each block, repeated over its columns. A complex row block is that real
+draw, twice as wide, read as interleaved real and imaginary parts.
 `reference_dft_blocks` draws the blocks of `scsparc.design.DftDesign` one
 column block at a time, one array per block, from the same child seed per
 column in the same order; the blocks of a column share one permutation and
@@ -35,7 +35,7 @@ def _reference_row_block(child, rows, block_scales, cols_per_block, dtype):
     block_scales[j]; a complex block draws real and imaginary parts
     interleaved."""
     width = 1 if dtype == float else 2
-    g = np.random.default_rng(child).standard_normal(
+    g = np.random.Generator(np.random.SFC64(child)).standard_normal(
         (rows, len(block_scales) * width * cols_per_block)
     )
     g *= np.repeat(block_scales, width * cols_per_block)

@@ -79,6 +79,21 @@ def test_cs_model_and_tau_validation():
     for tau in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             cs_mse_expectation(den, prior, tau)
+    # each bad field is named: nan and inf would only fail later, in the
+    # SE recursion, and an empty signal or measurement would not fail at all
+    W = np.ones((1, 1))
+    for sigma2 in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma2"):
+            CsModel(W=W, p=4, n=4, sigma2=sigma2, prior=prior)
+    for field in ("p", "n"):
+        sizes = {"p": 4, "n": 4, field: 0}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            CsModel(W=W, sigma2=0.1, prior=prior, **sizes)
+    for v in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="v must"):
+            bernoulli_gauss_prior(0.1, v)
+        with pytest.raises(ValueError, match="v must"):
+            BgBayesDenoiser(0.1, v)
 
 
 def test_bg_denoiser_symmetry_and_wiener():
@@ -245,6 +260,21 @@ def test_cs_amp_single_block_matches_reference():
         x = f
         prev = (tau, float(fp.mean()), phi)
     assert np.linalg.norm(res.x_hat - x) <= 1e-9 * max(np.linalg.norm(x), 1.0)
+
+
+def test_cs_amp_decode_iteration_count_edge_cases():
+    # no iterations keeps the block shapes of the traces, as run_cs_se
+    # does; a negative count is rejected rather than reported
+    model, den = criterion_9_models()[1]
+    A = cs_design_matrix(model, seed=3)
+    y = np.ones(model.n)
+    res = cs_amp_decode(A, y, model, den, t_max=0)
+    assert res.iterations == 0
+    assert res.phi_trace.shape == (0, model.rows)
+    assert res.tau_trace.shape == (0, model.cols)
+    np.testing.assert_array_equal(res.x_hat, np.zeros(model.p))
+    with pytest.raises(ValueError, match="t_max"):
+        cs_amp_decode(A, y, model, den, t_max=-1)
 
 
 def test_cs_amp_tracks_se_small():

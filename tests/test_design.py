@@ -111,6 +111,53 @@ def test_draws_do_not_depend_on_the_thread_count(monkeypatch, kind):
                 assert np.array_equal(got, want)
 
 
+def gaussian_design_blocks(kind):
+    """The blocks of a dense real design (every nonzero block) or a CS
+    matrix (every block), each as a (row block, block, variance) triple,
+    with a few 1e5 entries in all."""
+    if kind == "dense-real":
+        base = build_base_matrix(CouplingParams(3, 5))
+        params = SparcParams(n=980, M=4, L=200, base=base, sigma2=0.1)
+        op = build_gaussian_design(params, base, seed=21)
+        nr, nc = op.rows_per_block, op.cols_per_block
+        return [
+            (r, mat[:, j * nc : (j + 1) * nc], base.entries[r, c] / params.L)
+            for r, (cols, mat) in enumerate(zip(op._row_cols, op._row_mats))
+            for j, c in enumerate(cols)
+        ]
+    Wcs = build_cs_base_matrix(CouplingParams(3, 8, 0.25))
+    model = CsModel(W=Wcs, p=1600, n=150, sigma2=0.01, prior=bernoulli_gauss_prior(0.1, 1.0))
+    A = cs_design_matrix(model, seed=21)
+    mr, mc = model.rows_per_block, model.cols_per_block
+    return [
+        (r, A[r * mr : (r + 1) * mr, c * mc : (c + 1) * mc], Wcs[r, c] / mr)
+        for r in range(model.rows)
+        for c in range(model.cols)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["dense-real", "cs"])
+def test_gaussian_design_streams_are_independent(kind):
+    # every block is centred with its variance, and the child streams of
+    # two row blocks are uncorrelated, each within 4 standard errors
+    blocks = gaussian_design_blocks(kind)
+    assert sum(blk.size for _, blk, _ in blocks) > 2e5
+    for _, blk, var in blocks:
+        n = blk.size
+        assert abs(blk.mean()) < 4 * np.sqrt(var / n)
+        assert abs(blk.var() - var) < 4 * var * np.sqrt(2 / (n - 1))
+    # each row block's draws, every block scaled back to unit variance
+    streams = {}
+    for r, blk, var in blocks:
+        streams.setdefault(r, []).append((blk / np.sqrt(var)).reshape(-1))
+    streams = [np.concatenate(parts) for parts in streams.values()]
+    length = min(len(s) for s in streams)
+    for i in range(len(streams)):
+        for j in range(i + 1, len(streams)):
+            corr = np.corrcoef(streams[i][:length], streams[j][:length])[0, 1]
+            assert abs(corr) < 4 / np.sqrt(length)
+
+
 def test_a_reused_seed_object_gives_the_same_design():
     # a builder must not spawn from the caller's SeedSequence, which would
     # move its spawn counter and so the next design drawn from it

@@ -15,6 +15,19 @@ ROOT = Path(__file__).resolve().parent.parent
 # criterion 5 (`asymptotic_se`) and criterion 1 (`compare_to_se`) compare
 # the simulation against
 TEST_REFERENCES = {"asymptotic_se", "compare_to_se"}
+# numpy calls that make a random stream
+STREAM_CALLS = {"default_rng", "Generator", "SFC64", "PCG64", "PCG64DXSM", "Philox", "MT19937"}
+# (module.function, call) of every stream the package makes, as
+# DECISIONS.md documents them: the Gaussian designs on SFC64, the rest on
+# default_rng (PCG64)
+DOCUMENTED_STREAMS = {
+    ("design._draw_row_block", "Generator"),
+    ("design._draw_row_block", "SFC64"),
+    ("design.DftDesign.__init__", "default_rng"),
+    ("message.random_message", "default_rng"),
+    ("channel.transmit", "default_rng"),
+    ("state_evolution.SectionExpectation.__init__", "default_rng"),
+}
 # installs and restores every probe of bench/run.py (argv[1] is bench/)
 PROBE_SCRIPT = """
 import sys
@@ -108,3 +121,33 @@ def test_readme_config_block_shows_every_accepted_key():
     assert not accepted - shown, f"accepted keys missing from README: {sorted(accepted - shown)}"
     assert not shown - accepted, f"README keys the harness rejects: {sorted(shown - accepted)}"
     ExperimentConfig.from_mapping(raw)
+
+
+def stream_calls(node, scope):
+    """(scope.function, name) of every STREAM_CALLS call under node, with
+    the scope extended by each class and function it is nested in."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}"
+        elif isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in STREAM_CALLS:
+                yield scope, name
+        yield from stream_calls(child, inner)
+
+
+def test_random_streams_are_built_where_documented():
+    # a new, moved or re-typed simulation stream changes results, so it
+    # must come with an update here and in DECISIONS.md
+    files = sorted((ROOT / "src" / "scsparc").glob("*.py"))
+    found = {
+        call
+        for path in files
+        for call in stream_calls(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    }
+    assert found == DOCUMENTED_STREAMS, (
+        f"undocumented: {sorted(found - DOCUMENTED_STREAMS)}, "
+        f"gone: {sorted(DOCUMENTED_STREAMS - found)}"
+    )

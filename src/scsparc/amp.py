@@ -23,7 +23,7 @@ import numpy as np
 
 from .design import DesignOperator
 from .message import hard_decision, nmse, section_error_rate
-from .params import BaseMatrix, SparcParams
+from .params import SparcParams
 from .state_evolution import SeTrajectory, column_tau
 
 __all__ = [
@@ -92,14 +92,17 @@ class OfflineSeSource:
     which gives the decoder a sharp enough denoiser to finish cleanly.
 
     The decoder calls `sigma` once per iteration, before z^t exists, and
-    passes its result to `values`, which does not need it here.
+    passes its result to `values`, which does not need it here. The tail
+    reads W, sigma2 and the code sizes from `params`, the code `traj` was
+    run for.
     """
 
-    def __init__(self, traj: SeTrajectory, W: BaseMatrix, params: SparcParams):
+    def __init__(self, traj: SeTrajectory, params: SparcParams):
         if traj.iterations < 1:
             raise ValueError("trajectory has no iterations")
         self.traj = traj
         self.sigma2 = params.sigma2
+        W = params.base
         sigma_r = W.entries @ traj.psi[-1] / W.cols
         phi_r = params.sigma2 + sigma_r
         self._tail = (sigma_r, phi_r, column_tau(W.entries, phi_r, params.L / params.n))
@@ -116,7 +119,8 @@ class OfflineSeSource:
 
 
 class OnlineSeSource:
-    """sigma_r, phi_r and tau_c estimated from the decoder's current iterate.
+    """sigma_r, phi_r and tau_c of the code `params` (its base matrix W,
+    sigma2 and sizes) estimated from the decoder's current iterate.
 
     `sigma` estimates sigma_r from the energy of the current soft estimate
     beta alone. `values(t, state, sigma_r)` gives (phi_r, tau_c): phi_r is
@@ -127,18 +131,17 @@ class OnlineSeSource:
     clamped.
     """
 
-    def __init__(self, W: BaseMatrix, params: SparcParams, known_sigma: bool):
-        self.W = W
+    def __init__(self, params: SparcParams, known_sigma: bool):
         self.params = params
         self.known_sigma = known_sigma
 
     def sigma(self, t, state):
-        W = self.W
+        W = self.params.base
         block_energy = (np.abs(state.beta) ** 2).reshape(W.cols, -1).sum(axis=1)
         return W.entries @ (1.0 - block_energy / self.params.sections_per_block) / W.cols
 
     def values(self, t, state, sigma_r):
-        W, params = self.W, self.params
+        params, W = self.params, self.params.base
         if self.known_sigma or state.z is None:
             phi_r = params.sigma2 + sigma_r
         else:

@@ -114,7 +114,7 @@ def _first_point(args):
 
 def _cmd_se(args) -> int:
     cfg, point = _first_point(args)
-    traj = _point_se_trajectory(cfg, *point)
+    traj = _point_se_trajectory(cfg, 0)
     params, _ = cfg.code_params(*point)
     cols, rows = _se_csv_lines(traj, params)
     if args.out:

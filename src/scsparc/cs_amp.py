@@ -55,16 +55,12 @@ class BernoulliGaussPrior:
         return self.eps * self.v
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """A component per entry (the atom at 0, or N(0, v); only the
-        latter when eps = 1), then a standard normal scaled by that
-        component's standard deviation. The mean 0.0 is added so that an
-        atom reads +0.0, never -0.0."""
-        if self.eps == 1.0:
-            weights, variances = (1.0,), (self.v,)
-        else:
-            weights, variances = (1.0 - self.eps, self.eps), (0.0, self.v)
-        comp = rng.choice(len(weights), size=size, p=weights)
-        return 0.0 + np.sqrt(np.asarray(variances))[comp] * rng.standard_normal(size)
+        """A component per entry (the atom at 0 with probability 1-eps, or
+        N(0, v)), then a standard normal scaled by that component's
+        standard deviation. The mean 0.0 is added so that an atom reads
+        +0.0, never -0.0."""
+        comp = rng.choice(2, size=size, p=(1.0 - self.eps, self.eps))
+        return 0.0 + np.sqrt(np.array((0.0, self.v)))[comp] * rng.standard_normal(size)
 
 
 def bernoulli_gauss_prior(eps: float, v: float) -> BernoulliGaussPrior:
@@ -176,8 +172,9 @@ def cs_design_matrix(model: CsModel, seed) -> np.ndarray:
 
 def cs_mse_expectation(denoiser, prior: BernoulliGaussPrior, tau: float) -> float:
     """E[(f(beta + sqrt(tau) G) - beta)^2] for beta ~ prior, G ~ N(0,1),
-    by tensor-product Gauss-Hermite quadrature: the atom's part (when
-    eps < 1) is a 1D rule at beta = 0, added before the Gaussian part.
+    by tensor-product Gauss-Hermite quadrature: the atom's part is a 1D
+    rule at beta = 0, added before the Gaussian part (at eps = 1 it is
+    0 times a finite value, so the sum is the Gaussian part exactly).
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -189,8 +186,6 @@ def cs_mse_expectation(denoiser, prior: BernoulliGaussPrior, tau: float) -> floa
         return float(wb @ ((f - beta[:, np.newaxis]) ** 2) @ wn)
 
     gauss = prior.eps * part(math.sqrt(prior.v) * g, wn)
-    if prior.eps == 1.0:
-        return gauss
     return (1.0 - prior.eps) * part(np.zeros(1), np.ones(1)) + gauss
 
 

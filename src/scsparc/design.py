@@ -143,15 +143,16 @@ def _check_scaling(S: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 class DesignOperator:
     """Common interface: forward product, scaled adjoint, AMP residual.
 
-    Subclasses store the nonzero blocks of W, listed in `_nonzero`.
+    Subclasses store the nonzero blocks of W, listed in `_nonzero`. W
+    must have the entries of params.base; a different one raises.
     """
 
     kind: str
     field: str
 
     def __init__(self, params: SparcParams, W: BaseMatrix, field: str):
-        if W.rows != params.row_blocks or W.cols != params.col_blocks:
-            raise ValueError("base matrix dims inconsistent with params")
+        if not np.array_equal(W.entries, params.base.entries):
+            raise ValueError("base matrix W differs from params.base")
         if field not in ("real", "complex"):
             raise ValueError(f"unknown field {field!r}")
         if field == "complex" and params.n % 2 != 0:

@@ -23,7 +23,7 @@ from .channel import ebn0_db, snr_from_db, transmit
 from .design import build_dft_design, build_gaussian_design
 from .message import nmse, random_message, section_error_rate
 from .params import LN2, CouplingParams, derive_code_params
-from .state_evolution import SeTrajectory, run_se
+from .state_evolution import DEFAULT_MC_SAMPLES, SeTrajectory, run_se
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -78,7 +78,9 @@ def _finite_number(x) -> bool:
 class ExperimentConfig:
     """Validated experiment description. Every value is checked when the
     config is built, `coupling` (the CouplingParams of omega, Lambda and
-    rho) included, so a bad value never stops a sweep part-way."""
+    rho) included, so a bad value never stops a sweep part-way. The field
+    defaults to the operator's: real for dense, complex for dft (a DFT
+    design is complex, so a real field with it is rejected)."""
 
     M: int
     L: int
@@ -87,13 +89,13 @@ class ExperimentConfig:
     rho: float
     rate_bits: tuple  # sweep values
     snr_db: tuple  # sweep values
-    field_kind: str = "real"
+    field_kind: str | None = None
     trials: int = 10
     seed: int = 0
     se_mode: str = "online"
     operator: str = "dense"
     t_max: int = 200
-    mc_samples: int = 10000
+    mc_samples: int = DEFAULT_MC_SAMPLES
 
     def __post_init__(self):
         if not _finite_number(self.rho):
@@ -113,8 +115,12 @@ class ExperimentConfig:
             raise ValueError(f"se_mode must be one of {SE_MODES}, got {self.se_mode!r}")
         if self.operator not in OPERATORS:
             raise ValueError(f"operator must be one of {OPERATORS}, got {self.operator!r}")
+        if self.field_kind is None:
+            object.__setattr__(self, "field_kind", "complex" if self.operator == "dft" else "real")
         if self.field_kind not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field_kind!r}")
+        if self.field_kind == "real" and self.operator == "dft":
+            raise ValueError("field 'real' does not fit operator 'dft', whose design is complex")
         if not self.rate_bits or not all(_finite_number(r) and r > 0 for r in self.rate_bits):
             raise ValueError(f"rate_bits must list positive finite values, got {self.rate_bits}")
         if not self.snr_db or not all(_finite_number(s) for s in self.snr_db):
@@ -154,7 +160,7 @@ class ExperimentConfig:
             rho=code.get("rho", 0.0),
             rate_bits=listify(code["rate_bits"]),
             snr_db=listify(channel["snr_db"]),
-            field_kind=str(channel.get("field", "real")),
+            field_kind=channel.get("field"),
         )
         kwargs.update(sim)
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
@@ -175,9 +181,9 @@ class ExperimentConfig:
 
     def code_params(self, snr_db: float, rate_bits: float):
         sigma2 = 1.0 / snr_from_db(snr_db)
-        need_even = self.field_kind == "complex" or self.operator == "dft"
         params = derive_code_params(
-            rate_bits * LN2, self.M, self.coupling, self.L, sigma2, even=need_even
+            rate_bits * LN2, self.M, self.coupling, self.L, sigma2,
+            even=self.field_kind == "complex",
         )
         return params, params.base
 
@@ -201,13 +207,12 @@ def run_trial(
     cfg: ExperimentConfig,
     point: int,
     trial: int,
-    snr_db: float,
-    rate_bits: float,
     se_traj: SeTrajectory | None = None,
     keep_progression: bool = False,
 ) -> TrialResult:
-    """One encode -> channel -> decode pipeline, fully seed-determined."""
-    params, W = cfg.code_params(snr_db, rate_bits)
+    """Trial `trial` at sweep point `point` (the code of cfg.sweep[point]):
+    one encode -> channel -> decode pipeline, fully seed-determined."""
+    params, W = cfg.code_params(*cfg.sweep[point])
     design_seed = _trial_seed(cfg.seed, point, trial, _ROLE_DESIGN)
     if cfg.operator == "dft":
         op = build_dft_design(params, W, design_seed)
@@ -221,9 +226,9 @@ def run_trial(
     if cfg.se_mode == "offline":
         if se_traj is None:
             raise ValueError("se_mode 'offline' needs a precomputed se_traj")
-        se = OfflineSeSource(se_traj, W, params)
+        se = OfflineSeSource(se_traj, params)
     else:
-        se = OnlineSeSource(W, params, known_sigma=cfg.se_mode == "online_known_sigma")
+        se = OnlineSeSource(params, known_sigma=cfg.se_mode == "online_known_sigma")
 
     amp_cfg = AmpConfig(t_max=cfg.t_max)
     # decode computes the per-iteration NMSE only when it is kept
@@ -257,11 +262,11 @@ class ResultRecord:
     se_traj: SeTrajectory | None = field(default=None, repr=False)
 
 
-def _point_se_trajectory(cfg, snr_db, rate_bits) -> SeTrajectory:
-    """The SE trajectory that offline decoding uses at one sweep point."""
-    params, W = cfg.code_params(snr_db, rate_bits)
+def _point_se_trajectory(cfg, point: int) -> SeTrajectory:
+    """The SE trajectory that offline decoding uses at sweep point `point`."""
+    params, _ = cfg.code_params(*cfg.sweep[point])
     seed = _trial_seed(cfg.seed, 0, 0, _ROLE_SE)
-    return run_se(W, params, t_max=cfg.t_max, mc_samples=cfg.mc_samples, seed=seed)
+    return run_se(params, t_max=cfg.t_max, mc_samples=cfg.mc_samples, seed=seed)
 
 
 def run_experiment(cfg: ExperimentConfig, keep_progression: bool = False) -> list:
@@ -276,15 +281,8 @@ def run_experiment(cfg: ExperimentConfig, keep_progression: bool = False) -> lis
         raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
     records = []
     for point, (snr_db, rate_bits) in enumerate(cfg.sweep):
-        se_traj = (
-            _point_se_trajectory(cfg, snr_db, rate_bits)
-            if cfg.se_mode == "offline"
-            else None
-        )
-        args = [
-            (cfg, point, t, snr_db, rate_bits, se_traj, keep_progression)
-            for t in range(cfg.trials)
-        ]
+        se_traj = _point_se_trajectory(cfg, point) if cfg.se_mode == "offline" else None
+        args = [(cfg, point, t, se_traj, keep_progression) for t in range(cfg.trials)]
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_run_trial_star, args))

@@ -173,14 +173,10 @@ def _phi_tau(W: np.ndarray, psi: np.ndarray, sigma2: float, d: float, scale: flo
 
 
 def se_step(
-    W: BaseMatrix,
-    psi: np.ndarray,
-    sigma2: float,
-    R: float,
-    M: int,
-    expectation: SectionExpectation,
+    psi: np.ndarray, params: SparcParams, expectation: SectionExpectation
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One state-evolution step; returns (phi, tau, psi_next).
+    """One state-evolution step of the code `params` (its base matrix W,
+    sigma2, R and M); returns (phi, tau, psi_next).
 
     phi_r = sigma2 + (1/C) sum_c W_rc psi_c
     tau_c = (R/ln M) * [(1/R_blocks) sum_r W_rc/phi_r]^{-1}
@@ -192,7 +188,8 @@ def se_step(
     psi = np.asarray(psi, dtype=float)
     if np.any((psi < 0) | (psi > 1)):
         raise ValueError("psi entries must lie in [0, 1]")
-    phi, tau = _phi_tau(W.entries, psi, sigma2, W.cols, R / math.log(M))
+    W = params.base
+    phi, tau = _phi_tau(W.entries, psi, params.sigma2, W.cols, params.R / math.log(params.M))
     # mirror columns get taus that differ by about 1 ulp: evaluate the
     # first tau seen for each 12-significant-digit key, all in one call
     slot_of: dict[str, int] = {}
@@ -236,7 +233,9 @@ class SeTrajectory:
 
 def _iterate(step, psi0: np.ndarray, rows: int, t_max: int, threshold=-math.inf) -> SeTrajectory:
     """The recursion psi -> step(psi) = (phi, tau, psi_next), phi of length
-    rows, from psi0 for t_max steps or until every psi_c <= threshold."""
+    rows, from psi0 for t_max >= 0 steps or until every psi_c <= threshold."""
+    if t_max < 0:
+        raise ValueError(f"t_max must be nonnegative, got {t_max}")
     psi_hist, phi_hist, tau_hist = [psi0], [], []
     while not np.all(psi_hist[-1] <= threshold) and len(phi_hist) < t_max:
         phi, tau, psi = step(psi_hist[-1])
@@ -253,14 +252,14 @@ def _iterate(step, psi0: np.ndarray, rows: int, t_max: int, threshold=-math.inf)
 
 
 def run_se(
-    W: BaseMatrix,
     params: SparcParams,
     threshold: float = 1e-4,
     t_max: int = 200,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     seed=0,
 ) -> SeTrajectory:
-    """Iterate state evolution until every psi_c <= threshold or t_max.
+    """Iterate state evolution of the code `params` from psi = 1 until
+    every psi_c <= threshold or t_max steps.
 
     Common random numbers are reused across all tau evaluations of the run.
     """
@@ -268,9 +267,9 @@ def run_se(
     if not 0.0 < threshold <= 1.0:
         raise ValueError("stop threshold must lie in (0, 1]")
     expectation = SectionExpectation(params.M, mc_samples, seed)
+    W = params.base
     return _iterate(
-        lambda psi: se_step(W, psi, params.sigma2, params.R, params.M, expectation),
-        np.ones(W.cols), W.rows, t_max, threshold,
+        lambda psi: se_step(psi, params, expectation), np.ones(W.cols), W.rows, t_max, threshold
     )
 
 

@@ -57,10 +57,10 @@ def tracking_run(M, L, trials, seed=7, t_max=20, mc_samples=20000):
         operator="dft", t_max=t_max,
     )
     params, W = cfg.code_params(SNR_DB, 1.5)
-    traj = run_se(W, params, t_max=t_max, mc_samples=mc_samples, seed=123)
+    traj = run_se(params, t_max=t_max, mc_samples=mc_samples, seed=123)
     acc = np.zeros((t_max, W.cols))
     for t in range(trials):
-        r = run_trial(cfg, 0, t, SNR_DB, 1.5, se_traj=traj, keep_progression=True)
+        r = run_trial(cfg, 0, t, se_traj=traj, keep_progression=True)
         acc += r.nmse_per_block
     emp = acc / trials
     comp = compare_to_se(emp, traj)
@@ -142,7 +142,7 @@ def test_criterion_02_ser_nmse_inequality():
         op = build_gaussian_design(params, base, seed=trial)
         beta = random_message(M, 8, seed=trial + 1)
         y = transmit(op.apply(beta), params.sigma2, seed=trial + 2)
-        se = OnlineSeSource(base, params, known_sigma=True)
+        se = OnlineSeSource(params, known_sigma=True)
         decoded, diag = decode(op, y, se, AmpConfig(t_max=8), truth=beta)
         if diag.ser > 4.0 * diag.nmse_overall + 1e-12:
             violations += 1
@@ -349,7 +349,7 @@ def test_criterion_08_online_se_fidelity():
     )
     cfg_on = ExperimentConfig(trials=20, se_mode="online_known_sigma", **cfg_fid)
     params_fid, W_fid = cfg_on.code_params(SNR_DB, 0.8)
-    traj_fid = run_se(W_fid, params_fid, t_max=25, mc_samples=10000, seed=99)
+    traj_fid = run_se(params_fid, t_max=25, mc_samples=10000, seed=99)
     T_cmp = 15
     phi_tail = params_fid.sigma2 + W_fid.entries @ traj_fid.psi[-1] / W_fid.cols
     phi_se = np.vstack(
@@ -373,7 +373,7 @@ def test_criterion_08_online_se_fidelity():
     params, W = ExperimentConfig(trials=1, se_mode="online", **cfg_kw).code_params(
         SNR_DB, 1.0
     )
-    traj = run_se(W, params, t_max=25, mc_samples=10000, seed=99)
+    traj = run_se(params, t_max=25, mc_samples=10000, seed=99)
 
     # part 2: final SER agreement, online vs offline, 50 trials each
     n_tr = 50
@@ -382,7 +382,7 @@ def test_criterion_08_online_se_fidelity():
         cfg = ExperimentConfig(trials=n_tr, se_mode=mode, **cfg_kw)
         total = 0.0
         for t in range(n_tr):
-            total += run_trial(cfg, 0, t, SNR_DB, 1.0, se_traj=traj_arg).ser
+            total += run_trial(cfg, 0, t, se_traj=traj_arg).ser
         if mode == "online":
             ser_on = total / n_tr
         else:
@@ -411,7 +411,7 @@ def _trial_with_diag(cfg, trial, t_max=None):
     op = build_dft_design(params, W, _trial_seed(cfg.seed, 0, trial, _ROLE_DESIGN))
     beta = random_message(params.M, params.L, _trial_seed(cfg.seed, 0, trial, _ROLE_MESSAGE))
     y = transmit(op.apply(beta), params.sigma2, _trial_seed(cfg.seed, 0, trial, _ROLE_NOISE))
-    se = OnlineSeSource(W, params, known_sigma=cfg.se_mode == "online_known_sigma")
+    se = OnlineSeSource(params, known_sigma=cfg.se_mode == "online_known_sigma")
     amp_cfg = (
         AmpConfig(t_max=t_max, stop_tol=0.0)
         if t_max is not None

@@ -67,7 +67,7 @@ def test_eta_denoise_properties():
 def test_online_estimates_at_start():
     params, base, op, beta, y = small_setup()
     state = DecoderState.initial(op)
-    se = OnlineSeSource(base, params, known_sigma=False)
+    se = OnlineSeSource(params, known_sigma=False)
     sigma_r = se.sigma(0, state)
     phi_r, tau_c = se.values(0, state, sigma_r)
     # beta = 0: sigma_r is the full row average of W
@@ -82,7 +82,7 @@ def test_online_estimates_at_truth():
     params, base, op, beta, y = small_setup()
     state = DecoderState.initial(op)
     state.beta = beta.astype(float)
-    se = OnlineSeSource(base, params, known_sigma=True)
+    se = OnlineSeSource(params, known_sigma=True)
     sigma_r = se.sigma(0, state)
     phi_r, _ = se.values(0, state, sigma_r)
     assert np.allclose(sigma_r, 0.0)
@@ -93,7 +93,7 @@ def test_amp_iterate_matches_dense_reference():
     # oracle: straight-line reference of one full iteration
     params, base, op, beta, y = small_setup(seed=3)
     A = dense_form(op)
-    se = OnlineSeSource(base, params, known_sigma=True)
+    se = OnlineSeSource(params, known_sigma=True)
 
     state = DecoderState.initial(op)
     amp_iterate(state, op, y, se)
@@ -131,7 +131,7 @@ def test_noiseless_single_block_decodes_fast():
     op = build_gaussian_design(params, base, seed=0)
     beta = random_message(2, 2, seed=1)
     y = op.apply(beta)  # noiseless
-    se = OnlineSeSource(base, params, known_sigma=True)
+    se = OnlineSeSource(params, known_sigma=True)
     decoded, diag = decode(op, y, se, AmpConfig(t_max=3), truth=beta)
     assert np.array_equal(decoded, beta)
     assert diag.ser == 0.0
@@ -139,8 +139,8 @@ def test_noiseless_single_block_decodes_fast():
 
 def test_decode_offline_matches_trajectory_source():
     params, base, op, beta, y = small_setup(M=8, L=16, n=120, seed=5)
-    traj = run_se(base, params, t_max=8, mc_samples=2000, seed=0)
-    se = OfflineSeSource(traj, base, params)
+    traj = run_se(params, t_max=8, mc_samples=2000, seed=0)
+    se = OfflineSeSource(traj, params)
     decoded, diag = decode(op, y, se, AmpConfig(t_max=8), truth=beta)
     assert diag.iterations >= 1
     assert diag.phi_trace.shape[1] == base.rows
@@ -168,7 +168,7 @@ def test_decode_complex_field():
     params, base, op, beta, y = small_setup(
         M=4, L=8, n=40, seed=7, field="complex"
     )
-    se = OnlineSeSource(base, params, known_sigma=True)
+    se = OnlineSeSource(params, known_sigma=True)
     decoded, diag = decode(op, y, se, AmpConfig(t_max=15), truth=beta)
     assert diag.ser is not None and diag.ser <= 0.5
     assert not diag.diverged
@@ -180,7 +180,7 @@ def test_decode_dft_operator():
     op = build_dft_design(params, base, seed=11)
     beta = random_message(4, 8, seed=12)
     y = transmit(op.apply(beta), params.sigma2, seed=13)
-    se = OnlineSeSource(base, params, known_sigma=True)
+    se = OnlineSeSource(params, known_sigma=True)
     decoded, diag = decode(op, y, se, AmpConfig(t_max=15), truth=beta)
     assert not diag.diverged
     assert diag.ser <= 0.5
@@ -224,7 +224,7 @@ def test_decode_divergence_guard():
     # feeding a wildly wrong noise level makes the residual blow past the
     # ceiling; decode must flag divergence instead of raising
     params, base, op, beta, y = small_setup(seed=9)
-    se = OnlineSeSource(base, params, known_sigma=False)
+    se = OnlineSeSource(params, known_sigma=False)
     decoded, diag = decode(op, 1e12 * y, se, AmpConfig(t_max=5), truth=beta)
     assert diag.diverged
     assert diag.stop_reason == "diverged"
@@ -254,7 +254,7 @@ def test_amp_iterate_residual_matches_repeat_formula(operator):
         params = SparcParams(n=40, M=4, L=8, base=base, sigma2=1.0 / 20)
         op = build_dft_design(params, base, seed=11)
         y = transmit(op.apply(random_message(4, 8, seed=12)), params.sigma2, seed=13)
-    se = OnlineSeSource(base, params, known_sigma=True)
+    se = OnlineSeSource(params, known_sigma=True)
     state = DecoderState.initial(op)
     for _ in range(2):
         amp_iterate(state, op, y, se)
@@ -271,10 +271,10 @@ def test_amp_iterate_residual_matches_repeat_formula(operator):
 
 def test_decode_reports_clamped_phi():
     params, base, op, beta, y = small_setup(seed=4)
-    _, diag = decode(op, y, OnlineSeSource(base, params, known_sigma=True), AmpConfig(t_max=3))
+    _, diag = decode(op, y, OnlineSeSource(params, known_sigma=True), AmpConfig(t_max=3))
     assert not diag.clamped
     # an all-zero y has zero residual energy, so the measured phi_r is 0
-    se = OnlineSeSource(base, params, known_sigma=False)
+    se = OnlineSeSource(params, known_sigma=False)
     _, diag = decode(op, np.zeros_like(y), se, AmpConfig(t_max=3))
     assert diag.clamped
 
@@ -282,7 +282,7 @@ def test_decode_reports_clamped_phi():
 def test_decode_reports_time_per_stage():
     params, base, op, beta, y = small_setup(seed=5)
     start = time.perf_counter()
-    se = OnlineSeSource(base, params, known_sigma=False)
+    se = OnlineSeSource(params, known_sigma=False)
     _, diag = decode(op, y, se, AmpConfig(t_max=6), truth=beta)
     elapsed = time.perf_counter() - start
     assert diag.iterations >= 2
@@ -302,7 +302,7 @@ def test_amp_iterate_adds_the_real_part_of_the_adjoint():
     params = SparcParams(n=40, M=4, L=8, base=base, sigma2=1.0 / 20)
     op = build_dft_design(params, base, seed=3)
     y = transmit(op.apply(random_message(4, 8, seed=4)), params.sigma2, seed=5)
-    se = OnlineSeSource(base, params, known_sigma=True)
+    se = OnlineSeSource(params, known_sigma=True)
     state = DecoderState.initial(op)
     for _ in range(3):
         beta_t = state.beta
@@ -330,7 +330,7 @@ def counting(source_cls):
 def test_online_source_sigma_runs_once_per_iteration():
     params, base, op, beta, y = small_setup(seed=5)
     for known_sigma in (False, True):
-        se = counting(OnlineSeSource)(base, params, known_sigma)
+        se = counting(OnlineSeSource)(params, known_sigma)
         _, diag = decode(op, y, se, AmpConfig(t_max=6))
         assert diag.iterations >= 2
         assert se.sigma_calls == diag.iterations
@@ -339,8 +339,8 @@ def test_online_source_sigma_runs_once_per_iteration():
 def test_offline_source_sigma_runs_once_per_iteration():
     # past the 3-step schedule the source gives its fixed point
     params, base, op, beta, y = small_setup(M=8, L=16, n=120, seed=5)
-    traj = run_se(base, params, t_max=3, mc_samples=2000, seed=0)
-    se = counting(OfflineSeSource)(traj, base, params)
+    traj = run_se(params, t_max=3, mc_samples=2000, seed=0)
+    se = counting(OfflineSeSource)(traj, params)
     _, diag = decode(op, y, se, AmpConfig(t_max=6))
     assert diag.iterations > traj.iterations
     assert se.sigma_calls == diag.iterations

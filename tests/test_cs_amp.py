@@ -335,6 +335,12 @@ def test_run_cs_se_with_no_steps_keeps_the_block_shapes():
     assert traj.tau.shape == (0, model.cols)
 
 
+def test_run_cs_se_rejects_a_negative_t_max():
+    model, den = criterion_9_models()[1]
+    with pytest.raises(ValueError, match="t_max"):
+        run_cs_se(model, den, t_max=-1)
+
+
 def test_cs_model_rejects_an_all_zero_column():
     # a zero column has no measurement, so its tau would be infinite
     with pytest.raises(ValueError, match="column 1"):

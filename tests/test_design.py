@@ -343,6 +343,17 @@ def test_design_validation():
         op.apply_scaled_adjoint(np.zeros((W.rows, W.cols)), np.zeros(op.n_rows))
 
 
+@pytest.mark.parametrize("build", [build_gaussian_design, build_dft_design])
+def test_a_base_matrix_other_than_params_base_raises(build):
+    params, W = small_params(n=10)
+    other = build_base_matrix(CouplingParams(2, 4, rho=0.25))  # same shape, other entries
+    with pytest.raises(ValueError, match="params.base"):
+        build(params, other, seed=0)
+    with pytest.raises(ValueError, match="params.base"):
+        build(params, BaseMatrix(W.entries[:, :2]), seed=0)
+    build(params, BaseMatrix(W.entries.copy()), seed=0)  # equal entries are the same W
+
+
 def test_dense_memory_check_counts_nonzero_blocks(monkeypatch):
     # 8 of the 20 blocks of W are nonzero, 8 x 8 doubles each
     params, W = small_params()

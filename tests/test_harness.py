@@ -122,11 +122,26 @@ def with_section(name, **keys):
         pytest.param(with_section("code", rate_bits="1.5"), {}, "rate_bits", id="rate-string"),
         pytest.param(with_section("code", rate_bits=True), {}, "rate_bits", id="rate-bool"),
         pytest.param(with_section("channel", snr_db=["11"]), {}, "snr_db", id="snr-string"),
+        # a DFT design is complex, so an explicit real field does not fit it
+        pytest.param(
+            dict(with_section("channel", field="real"), sim=dict(SMALL["sim"], operator="dft")),
+            {}, "field 'real'.*operator 'dft'", id="dft-real-field",
+        ),
+        pytest.param(
+            with_section("channel", field="real"), dict(operator="dft"),
+            "field 'real'.*operator 'dft'", id="dft-override-real-field",
+        ),
     ],
 )
 def test_config_validation_raises_value_error(raw, over, named):
     with pytest.raises(ValueError, match=named):
         ExperimentConfig.from_mapping(raw, **over)
+
+
+def test_field_defaults_to_the_operators():
+    assert small_config().field_kind == "real"
+    cfg = small_config(operator="dft")
+    assert cfg.field_kind == "complex" and cfg.code_params(*cfg.sweep[0])[0].n % 2 == 0
 
 
 def test_integer_rho_is_stored_as_a_float():
@@ -138,15 +153,15 @@ def test_integer_rho_is_stored_as_a_float():
 def test_offline_trial_without_se_traj_raises():
     cfg = small_config(se_mode="offline")
     with pytest.raises(ValueError):
-        run_trial(cfg, 0, 0, 11.76, 1.0)
+        run_trial(cfg, 0, 0)
 
 
 def test_run_trial_determinism():
     cfg = small_config()
-    a = run_trial(cfg, 0, 0, 11.76, 1.0)
-    b = run_trial(cfg, 0, 0, 11.76, 1.0)
+    a = run_trial(cfg, 0, 0)
+    b = run_trial(cfg, 0, 0)
     assert a.ser == b.ser and a.nmse == b.nmse and a.iterations == b.iterations
-    c = run_trial(cfg, 0, 1, 11.76, 1.0)
+    c = run_trial(cfg, 0, 1)
     assert (a.ser, a.nmse) != (c.ser, c.nmse)
 
 

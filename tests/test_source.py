@@ -28,6 +28,20 @@ DOCUMENTED_STREAMS = {
     ("channel.transmit", "default_rng"),
     ("state_evolution.SectionExpectation.__init__", "default_rng"),
 }
+# the values SparcParams holds that a function must not take beside it
+MODEL_VALUES = {"W", "sigma2", "R", "M"}
+# the functions that take W beside params: the design constructors and the
+# forwarders to them, because bench/smoke.py builds DftDesign(params, W,
+# seed) and substitutes a subclass for harness.build_dft_design (ROADMAP
+# item 1 unpins them); DesignOperator.__init__ rejects a W other than
+# params.base
+W_BESIDE_PARAMS = {
+    "design.DesignOperator.__init__",
+    "design.DenseGaussianDesign.__init__",
+    "design.DftDesign.__init__",
+    "design.build_gaussian_design",
+    "design.build_dft_design",
+}
 # installs and restores every probe of bench/run.py (argv[1] is bench/)
 PROBE_SCRIPT = """
 import sys
@@ -150,4 +164,33 @@ def test_random_streams_are_built_where_documented():
     assert found == DOCUMENTED_STREAMS, (
         f"undocumented: {sorted(found - DOCUMENTED_STREAMS)}, "
         f"gone: {sorted(DOCUMENTED_STREAMS - found)}"
+    )
+
+
+def functions(node, scope):
+    """(scope.name, node) of every function under node, with the scope
+    extended by each class and function it is nested in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{scope}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from functions(child, name)
+        else:
+            yield from functions(child, scope)
+
+
+def test_no_function_takes_model_values_beside_params():
+    # a copy of W, sigma2, R or M passed beside the SparcParams that holds
+    # them could disagree with it
+    files = sorted((ROOT / "src" / "scsparc").glob("*.py"))
+    found = set()
+    for path in files:
+        for name, fn in functions(ast.parse(path.read_text(), filename=str(path)), path.stem):
+            args = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+            if "params" in args and args & MODEL_VALUES:
+                found.add(name)
+    assert found == W_BESIDE_PARAMS, (
+        f"take model values beside params: {sorted(found - W_BESIDE_PARAMS)}, "
+        f"no longer do: {sorted(W_BESIDE_PARAMS - found)}"
     )

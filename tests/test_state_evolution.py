@@ -8,7 +8,9 @@ from scipy.integrate import quad
 
 from scsparc import state_evolution
 from scsparc.harness import ExperimentConfig
-from scsparc.params import LN2, BaseMatrix, CouplingParams, build_base_matrix, derive_code_params
+from scsparc.params import (
+    LN2, BaseMatrix, CouplingParams, SparcParams, build_base_matrix, derive_code_params,
+)
 from scsparc.state_evolution import (
     SectionExpectation,
     asymptotic_se,
@@ -102,7 +104,7 @@ def test_se_step_tau_formula():
     W = params.base
     exp = SectionExpectation(8, 2000, seed=0)
     psi = np.full(W.cols, 0.5)
-    phi, tau, psi_next = se_step(W, psi, params.sigma2, params.R, 8, exp)
+    phi, tau, psi_next = se_step(psi, params, exp)
     # oracle: direct loop evaluation of the definitions
     for r in range(W.rows):
         assert math.isclose(phi[r], params.sigma2 + W.entries[r].dot(psi) / W.cols)
@@ -117,9 +119,17 @@ def test_run_se_threshold_one():
     params = derive_code_params(
         1.0 * LN2, 8, CouplingParams(2, 4), 32, sigma2=0.1
     )
-    traj = run_se(params.base, params, threshold=1.0, t_max=10)
+    traj = run_se(params, threshold=1.0, t_max=10)
     assert traj.iterations == 0
     assert traj.reached_threshold
+
+
+def test_run_se_rejects_a_negative_t_max():
+    params = derive_code_params(1.0 * LN2, 8, CouplingParams(2, 4), 32, sigma2=0.1)
+    with pytest.raises(ValueError, match="t_max"):
+        run_se(params, t_max=-1)
+    traj = run_se(params, t_max=0)  # zero steps stay a trajectory
+    assert traj.psi.shape == (1, params.base.cols) and traj.phi.shape == (0, params.base.rows)
 
 
 def test_run_se_decodes_well_below_capacity():
@@ -127,7 +137,7 @@ def test_run_se_decodes_well_below_capacity():
     params = derive_code_params(
         1.0 * LN2, 32, CouplingParams(3, 8), 64, sigma2=1 / 15
     )
-    traj = run_se(params.base, params, threshold=1e-2, t_max=60, mc_samples=4000)
+    traj = run_se(params, threshold=1e-2, t_max=60, mc_samples=4000)
     assert traj.reached_threshold
     # wave decodes from the edges inward: edge blocks fall first
     mid_t = max(1, traj.iterations // 2)
@@ -143,7 +153,7 @@ def test_run_se_uncoupled_stall():
     params = derive_code_params(
         R, 64, CouplingParams(1, 1), 64, sigma2=1 / snr
     )
-    traj = run_se(params.base, params, threshold=1e-2, t_max=60, mc_samples=4000)
+    traj = run_se(params, threshold=1e-2, t_max=60, mc_samples=4000)
     assert not traj.reached_threshold
     assert traj.psi[-1][0] > 0.5
 
@@ -152,7 +162,7 @@ def test_run_se_psi_monotone():
     params = derive_code_params(
         1.2 * LN2, 16, CouplingParams(3, 8), 64, sigma2=1 / 15
     )
-    traj = run_se(params.base, params, threshold=1e-4, t_max=30, mc_samples=4000)
+    traj = run_se(params, threshold=1e-4, t_max=30, mc_samples=4000)
     diffs = np.diff(traj.psi, axis=0)
     assert np.all(diffs <= 1e-9)
 
@@ -266,7 +276,7 @@ def test_se_step_evaluates_mirror_columns_once():
     exp = CountingExpectation(params.M, 500, seed=1)
     # a mid-wave psi, symmetric about the centre like SE's own
     psi = np.minimum(1.0, np.abs(np.arange(W.cols) - (W.cols - 1) / 2) / 8)
-    _, tau, psi_next = se_step(W, psi, params.sigma2, params.R, params.M, exp)
+    _, tau, psi_next = se_step(psi, params, exp)
     assert len(exp.calls) == 1  # one pass over the sample per step
     (evaluated,) = exp.calls
     keys = {f"{t:.11e}" for t in tau}
@@ -286,8 +296,9 @@ def test_se_step_separates_taus_beyond_twelve_digits():
     # units of the 12th significant digit)
     row = np.array([1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-10, 1.0 + 1e-11])
     W = BaseMatrix(entries=row[np.newaxis, :])
+    params = SparcParams(n=11, M=4, L=4, base=W, sigma2=0.1)  # R = 4 ln 4 / 11, near 0.5
     exp = CountingExpectation(4, 200, seed=0)
-    _, tau, psi_next = se_step(W, np.ones(4), 0.1, 0.5, 4, exp)
+    _, tau, psi_next = se_step(np.ones(4), params, exp)
     assert len(set(tau.tolist())) == 4
     assert np.array_equal(exp.calls[0], tau[[0, 2, 3]])
     assert psi_next[0] == psi_next[1]
@@ -302,11 +313,11 @@ def test_run_se_matches_logsumexp_oracle(monkeypatch):
         se_mode="offline", operator="dft", t_max=40, mc_samples=1000,
     )
     params, W = cfg.code_params(*cfg.sweep[0])
-    fast = run_se(W, params, t_max=40, mc_samples=1000, seed=3)
+    fast = run_se(params, t_max=40, mc_samples=1000, seed=3)
     monkeypatch.setattr(
         state_evolution, "SectionExpectation", LogsumexpSectionExpectation
     )
-    oracle = run_se(W, params, t_max=40, mc_samples=1000, seed=3)
+    oracle = run_se(params, t_max=40, mc_samples=1000, seed=3)
     assert fast.iterations == oracle.iterations > 10
     for name in ("psi", "phi", "tau"):
         np.testing.assert_allclose(
@@ -328,20 +339,20 @@ def test_run_se_matches_the_reference_loop_at_the_offline_sweep_points(rate_bits
         se_mode="offline", operator="dft", t_max=40, mc_samples=1000,
     )
     params, W = cfg.code_params(*cfg.sweep[0])
-    traj = run_se(W, params, t_max=40, mc_samples=1000, seed=5)
+    traj = run_se(params, t_max=40, mc_samples=1000, seed=5)
     assert traj.reached_threshold and traj.iterations > 5
     assert_same_trajectory(traj, reference_run_se(W, params, t_max=40, mc_samples=1000, seed=5))
 
 
 def test_run_se_matches_the_reference_loop_at_threshold_one_and_on_a_stall():
     params = derive_code_params(1.0 * LN2, 8, CouplingParams(2, 4), 32, sigma2=0.1)
-    traj = run_se(params.base, params, threshold=1.0, t_max=10)
+    traj = run_se(params, threshold=1.0, t_max=10)
     assert traj.phi.shape == (0, params.base.rows) and traj.tau.shape == (0, params.base.cols)
     assert_same_trajectory(traj, reference_run_se(params.base, params, threshold=1.0, t_max=10))
     # the uncoupled stall of test_run_se_uncoupled_stall, run to t_max
     snr = 15.0
     params = derive_code_params(0.98 * 0.5 * math.log1p(snr), 64, CouplingParams(1, 1), 64, 1 / snr)
-    traj = run_se(params.base, params, threshold=1e-2, t_max=30, mc_samples=2000)
+    traj = run_se(params, threshold=1e-2, t_max=30, mc_samples=2000)
     assert traj.iterations == 30 and not traj.reached_threshold
     ref = reference_run_se(params.base, params, threshold=1e-2, t_max=30, mc_samples=2000)
     assert_same_trajectory(traj, ref)
